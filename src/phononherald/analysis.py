@@ -317,20 +317,8 @@ def cauchy_schwarz_test(cross: CorrelationEstimate,
     return CauchySchwarzVerdict(bool(separation > 0), float(margin))
 
 
-@dataclass(frozen=True)
-class OccupancyEstimate:
-    value: float
-    sigma_minus: float
-    sigma_plus: float
-    counts: dict
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "sigma_minus": self.sigma_minus,
-                "sigma_plus": self.sigma_plus, "counts": dict(self.counts)}
-
-
 def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
-                       background: float = 0.0) -> OccupancyEstimate:
+                       background: float = 0.0) -> CorrelationEstimate:
     """n = Gamma_R / (Gamma_B - Gamma_R) from alternating-pulse counts.
 
     ``background`` is the known leak+dark click probability per window,
@@ -356,7 +344,7 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
     sigma_minus = max(value - occ(max(p_ml - s_minus, 0.0)), 0.0)
     counts = {"clicks_red": clicks_red, "clicks_blue": clicks_blue,
               "pulses": pulses, "background": background}
-    return OccupancyEstimate(value, sigma_minus, sigma_plus, counts)
+    return CorrelationEstimate(value, sigma_minus, sigma_plus, counts)
 
 
 @dataclass(frozen=True)
@@ -410,9 +398,6 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
         raise FitError(f"exponential fit did not converge: {exc}") from exc
     residual = float(np.sqrt(np.mean((f(t, *popt) - y) ** 2)))
     return ExponentialFit(float(popt[0]), float(popt[1]), float(popt[2]), residual)
-
-
-HERALDED_STRICT_THRESHOLD = 5.0
 
 
 def heralded_autocorr(g_om: float) -> float:

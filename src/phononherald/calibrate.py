@@ -14,7 +14,6 @@ import numpy as np
 from scipy import optimize
 
 from .config import ExperimentConfig
-from .fock import TruncationError
 from .protocol import build_outcome_table
 
 A_HEAT_BOUNDS = (0.0, 5.0)
@@ -45,13 +44,7 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     g_target = np.array([p[1] for p in targets], dtype=float)
 
     def cost(a):
-        try:
-            curve = model_curve(config, delta_ts, a)
-        except TruncationError:
-            # amplitude too large for the configured cutoff: steer the
-            # bounded search back toward the feasible region
-            return 1e12 * (1.0 + float(a))
-        return float(np.sum((curve - g_target) ** 2))
+        return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))
 
     result = optimize.minimize_scalar(
         cost, bounds=A_HEAT_BOUNDS, method="bounded",

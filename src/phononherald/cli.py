@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: simulate, analyze, thermometry, reproduce, calibrate-heating.
-Exit codes: 0 success, 2 config error, 3 physics/truncation error,
-4 data-format error, 5 degenerate statistics (e.g. empty stream).
+Exit codes: 0 success, 2 config error, 3 physics error (unreachable
+calibration target), 4 data-format error, 5 degenerate statistics (e.g. an
+empty stream, a rate-asymmetry pole or a failed fit).
 Set PHONONHERALD_LOG=debug|info|warning for verbosity.
 """
 
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, calibrate, config as config_mod, protocol, tags
-from .fock import StateInvariantError, TruncationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,38 +119,40 @@ def _analyze_tables(cfg, trial_tables, delta_n_max):
     return results
 
 
+def _write_csv(path: Path, header, rows) -> Path:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _write_analysis_outputs(results, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "correlations.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_t_ns", "g2_om", "ci_minus", "ci_plus",
-                         "bound", "bound_ci_minus", "bound_ci_plus", "violated"])
-        for entry in results:
-            if "error" in entry:
-                writer.writerow([entry["delta_t_ns"]] + ["nan"] * 6 + ["false"])
-                continue
-            cross, bound = entry["cross"], entry["bound"]
-            writer.writerow([
-                entry["delta_t_ns"], cross.value, cross.sigma_minus,
-                cross.sigma_plus, bound.value, bound.sigma_minus,
-                bound.sigma_plus, str(entry["verdict"].violated).lower()])
-    summary = []
+    rows, summary = [], []
     for entry in results:
         item = {"delta_t_ns": entry["delta_t_ns"], "counters": entry["counters"]}
         if "error" in entry:
+            rows.append([entry["delta_t_ns"]] + ["nan"] * 6 + ["false"])
             item["error"] = entry["error"]
         else:
-            item["g2_om"] = entry["cross"].to_dict()
+            cross, bound = entry["cross"], entry["bound"]
+            rows.append([entry["delta_t_ns"], cross.value, cross.sigma_minus,
+                         cross.sigma_plus, bound.value, bound.sigma_minus,
+                         bound.sigma_plus, str(entry["verdict"].violated).lower()])
+            item["g2_om"] = cross.to_dict()
             item["g2_auto_write"] = entry["auto_write"].to_dict()
             item["g2_auto_read"] = entry["auto_read"].to_dict()
-            item["classical_bound"] = entry["bound"].to_dict()
+            item["classical_bound"] = bound.to_dict()
             item["cauchy_schwarz"] = entry["verdict"].to_dict()
             if "delta_n" in entry:
                 item["delta_n"] = {str(dn): est.to_dict()
                                    for dn, est in entry["delta_n"].items()}
                 item["delta_n_pooled"] = entry["delta_n_pooled"].to_dict()
         summary.append(item)
+    csv_path = _write_csv(out_dir / "correlations.csv",
+                          ["delta_t_ns", "g2_om", "ci_minus", "ci_plus", "bound",
+                           "bound_ci_minus", "bound_ci_plus", "violated"], rows)
     json_path = out_dir / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
     return csv_path, json_path
@@ -176,14 +178,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _thermometry(cfg, pulses):
+    result = protocol.simulate_thermometry(cfg, pulses, cfg.seed)
+    return result, analysis.sideband_occupancy(
+        result.clicks_red, result.clicks_blue, result.pulses_per_color,
+        result.background_click_prob)
+
+
 def cmd_thermometry(args) -> int:
     cfg = _load_config(args)
     if args.pulses <= 0:
         raise config_mod.ConfigError(f"pulses: {args.pulses} must be > 0")
-    result = protocol.simulate_thermometry(cfg, args.pulses, cfg.seed)
-    occ = analysis.sideband_occupancy(result.clicks_red, result.clicks_blue,
-                                      result.pulses_per_color,
-                                      result.background_click_prob)
+    result, occ = _thermometry(cfg, args.pulses)
     report = {
         "pulses_per_color": result.pulses_per_color,
         "rate_blue": result.rate_blue,
@@ -202,22 +208,15 @@ def cmd_thermometry(args) -> int:
 
 
 def _reproduce_fig2(cfg, args, out_dir: Path):
-    pulses = args.trials or 1_000_000
-    result = protocol.simulate_thermometry(cfg, pulses, cfg.seed)
-    occ = analysis.sideband_occupancy(result.clicks_red, result.clicks_blue,
-                                      result.pulses_per_color,
-                                      result.background_click_prob)
-    path = out_dir / "fig2_thermometry.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rate_blue", "rate_red", "asymmetry_corrected",
-                         "ideal_asymmetry", "n_th", "n_th_ci_minus", "n_th_ci_plus"])
-        asym = (result.rate_blue_corrected / result.rate_red_corrected
-                if result.rate_red_corrected > 0 else float("inf"))
-        writer.writerow([result.rate_blue, result.rate_red, asym,
-                         result.ideal_asymmetry, occ.value,
-                         occ.sigma_minus, occ.sigma_plus])
-    return [path]
+    result, occ = _thermometry(cfg, args.trials or 1_000_000)
+    asym = (result.rate_blue_corrected / result.rate_red_corrected
+            if result.rate_red_corrected > 0 else float("inf"))
+    return [_write_csv(
+        out_dir / "fig2_thermometry.csv",
+        ["rate_blue", "rate_red", "asymmetry_corrected", "ideal_asymmetry",
+         "n_th", "n_th_ci_minus", "n_th_ci_plus"],
+        [[result.rate_blue, result.rate_red, asym, result.ideal_asymmetry,
+          occ.value, occ.sigma_minus, occ.sigma_plus]])]
 
 
 def _reproduce_fig3b(cfg, args, out_dir: Path):
@@ -226,32 +225,25 @@ def _reproduce_fig3b(cfg, args, out_dir: Path):
     table = protocol.build_outcome_table(cfg, 100.0)
     stream = protocol.sample_trials(cfg, [table], threads=args.threads)
     trial_tables = analysis.tabulate(stream, cfg)
-    results = _analyze_tables(cfg, trial_tables, delta_n_max=10)
-    entry = results[0]
-    path = out_dir / "fig3b_cross_correlation.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_n", "g2_om", "ci_minus", "ci_plus",
-                         "bound", "bound_ci_minus", "bound_ci_plus"])
-        cross, bound = entry["cross"], entry["bound"]
-        writer.writerow([0, cross.value, cross.sigma_minus, cross.sigma_plus,
-                         bound.value, bound.sigma_minus, bound.sigma_plus])
-        for dn, est in entry["delta_n"].items():
-            writer.writerow([dn, est.value, est.sigma_minus, est.sigma_plus,
-                             "", "", ""])
-    return [path]
+    entry = _analyze_tables(cfg, trial_tables, delta_n_max=10)[0]
+    if "error" in entry:
+        raise analysis.EstimatorError(f"fig3b at 100 ns: {entry['error']}")
+    cross, bound = entry["cross"], entry["bound"]
+    rows = [[0, cross.value, cross.sigma_minus, cross.sigma_plus,
+             bound.value, bound.sigma_minus, bound.sigma_plus]]
+    rows += [[dn, est.value, est.sigma_minus, est.sigma_plus, "", "", ""]
+             for dn, est in entry["delta_n"].items()]
+    return [_write_csv(out_dir / "fig3b_cross_correlation.csv",
+                       ["delta_n", "g2_om", "ci_minus", "ci_plus",
+                        "bound", "bound_ci_minus", "bound_ci_plus"], rows)]
 
 
 def _reproduce_fig3c(cfg, args, out_dir: Path):
-    path = out_dir / "fig3c_correlation_decay.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_t_ns", "g2_om_model", "bound_model"])
-        for dt in FIG3C_DELAYS:
-            table = protocol.build_outcome_table(cfg, dt)
-            writer.writerow([dt, table.g2_cross_implied(),
-                             table.classical_bound_implied()])
-    return [path]
+    tables = [protocol.build_outcome_table(cfg, dt) for dt in FIG3C_DELAYS]
+    return [_write_csv(out_dir / "fig3c_correlation_decay.csv",
+                       ["delta_t_ns", "g2_om_model", "bound_model"],
+                       [[t.delta_t_ns, t.g2_cross_implied(),
+                         t.classical_bound_implied()] for t in tables])]
 
 
 def _reproduce_m3(cfg, args, out_dir: Path):
@@ -262,14 +254,10 @@ def _reproduce_m3(cfg, args, out_dir: Path):
     short_grid = np.linspace(0.02, 1.0, 40)
     c_long = protocol.simulate_pump_probe(cfg, pump_amplitude, long_grid)
     c_short = protocol.simulate_pump_probe(cfg, pump_amplitude, short_grid)
-    path = out_dir / "m3_pump_probe.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "delta_t_us", "count_rate"])
-        for t, c in zip(long_grid, c_long):
-            writer.writerow(["long", t, c])
-        for t, c in zip(short_grid, c_short):
-            writer.writerow(["short", t, c])
+    path = _write_csv(out_dir / "m3_pump_probe.csv",
+                      ["series", "delta_t_us", "count_rate"],
+                      [["long", t, c] for t, c in zip(long_grid, c_long)]
+                      + [["short", t, c] for t, c in zip(short_grid, c_short)])
     decay = analysis.fit_exponential(long_grid, c_long, "decay")
     rise = analysis.fit_exponential(short_grid, c_short, "saturating-rise")
     fit_path = out_dir / "m3_fits.json"
@@ -381,10 +369,12 @@ def main(argv=None) -> int:
         log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationError, StateInvariantError,
-            calibrate.CalibrationError) as exc:
+    except calibrate.CalibrationError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except (analysis.EstimatorError, analysis.FitError) as exc:
+        print(f"degenerate statistics: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except tags.TagFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import TwoModeFockState
+from scipy.special import xlog1py
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,35 @@ class DetectorModel:
             raise ValueError(f"leak_mean {self.leak_mean} must be >= 0")
 
     @property
-    def background_silent_prob(self) -> float:
-        """Probability that neither dark counts nor leak produce a click."""
-        return (1.0 - self.dark_prob) * float(np.exp(-self.efficiency * self.leak_mean))
+    def background_log_silent_prob(self) -> float:
+        """log P(neither dark counts nor leak produce a click), kept as a log
+        to stay accurate while the probability is close to 1."""
+        return float(np.log1p(-self.dark_prob)) - self.efficiency * self.leak_mean
 
-    def silent_probs(self, n_max: int) -> np.ndarray:
-        """P(no click | n photons in the mode), n = 0..n_max."""
-        ns = np.arange(n_max + 1)
-        return (1.0 - self.efficiency) ** ns * self.background_silent_prob
+
+# P(pattern 2*click1 + click2) = PATTERN_FROM_SILENT @ P(subset silent), with
+# the silent subsets ordered {}, {1}, {2}, {1, 2} (inclusion-exclusion)
+PATTERN_FROM_SILENT = np.array([
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, -1.0],
+    [1.0, -1.0, -1.0, 1.0],
+])
+
+
+def silent_subsets(det1: DetectorModel, det2: DetectorModel):
+    """Summed efficiency and log background-silent factor of each subset.
+
+    Returns (eta, log_b), each of length 4 in PATTERN_FROM_SILENT order.
+    Every detector in a subset S stays silent with probability
+    exp(log_b[S]) * (1 - eta[S])^n given n photons in the mode.
+    """
+    e1, e2 = det1.efficiency, det2.efficiency
+    if e1 + e2 > 1.0 + 1e-12:
+        raise ValueError(f"combined efficiencies {e1}+{e2} exceed 1")
+    l1, l2 = det1.background_log_silent_prob, det2.background_log_silent_prob
+    return (np.array([0.0, e1, e2, min(e1 + e2, 1.0)]),
+            np.array([0.0, l1, l2, l1 + l2]))
 
 
 def pair_click_matrix(n_max: int, det1: DetectorModel, det2: DetectorModel) -> np.ndarray:
@@ -57,39 +77,10 @@ def pair_click_matrix(n_max: int, det1: DetectorModel, det2: DetectorModel) -> n
     probability det1.efficiency, detector 2 with det2.efficiency
     (efficiencies include the splitting ratio, so their sum must be <= 1).
     """
-    e1, e2 = det1.efficiency, det2.efficiency
-    if e1 + e2 > 1.0 + 1e-12:
-        raise ValueError(f"combined efficiencies {e1}+{e2} exceed 1")
-    ns = np.arange(n_max + 1)
-    b1 = det1.background_silent_prob
-    b2 = det2.background_silent_prob
-    s1 = (1.0 - e1) ** ns * b1            # detector 1 silent
-    s2 = (1.0 - e2) ** ns * b2            # detector 2 silent
-    s12 = np.maximum(1.0 - e1 - e2, 0.0) ** ns * b1 * b2   # both silent
-    q = np.empty((4, n_max + 1))
-    q[0] = s12               # 00
-    q[1] = s1 - s12          # 01
-    q[2] = s2 - s12          # 10
-    q[3] = 1.0 - s1 - s2 + s12   # 11
+    eta, log_b = silent_subsets(det1, det2)
+    log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
+    # click patterns are alternating sums of silent probabilities near 1:
+    # sum their complements, which keep full relative accuracy
+    q = PATTERN_FROM_SILENT @ np.expm1(log_silent)
+    q[0] = np.exp(log_silent[3])
     return q
-
-
-def click_probabilities(state: TwoModeFockState, det_a: DetectorModel,
-                        det_b: DetectorModel) -> np.ndarray:
-    """Joint click table for independent detectors on modes A and B.
-
-    Returns a (2, 2) array P[click_A, click_B]; the table sums to 1.
-    """
-    p = state.joint_number_distribution()
-    sa = det_a.silent_probs(state.n_max)
-    sb = det_b.silent_probs(state.n_max)
-    p_a_marg = p.sum(axis=1)
-    p_b_marg = p.sum(axis=0)
-    p00 = float(sa @ p @ sb)
-    pa_silent = float(sa @ p_a_marg)
-    pb_silent = float(sb @ p_b_marg)
-    table = np.array([
-        [p00, pa_silent - p00],
-        [pb_silent - p00, 1.0 - pa_silent - pb_silent + p00],
-    ])
-    return table

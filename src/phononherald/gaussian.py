@@ -1,10 +1,10 @@
 """Covariance-matrix representation of zero-mean Gaussian states.
 
 Quadrature ordering is (x_1, p_1, x_2, p_2, ...) with the vacuum at
-cov = I/2. This module is the independent cross-check for the Fock engine:
-it evolves second moments under the same thermal / squeezing /
-beam-splitter / loss circuits and produces exact mean occupations and
-vacuum (no-click) probabilities.
+cov = I/2. Second moments evolve under thermal / squeezing /
+beam-splitter / loss / additive-noise channels and give exact mean
+occupations and vacuum (no-click) probabilities; the outcome tables of
+``protocol`` are built from them.
 """
 
 from __future__ import annotations
@@ -128,6 +128,52 @@ def loss(state: CovarianceState, mode: int, eta: float) -> CovarianceState:
     x[k, k] = x[k + 1, k + 1] = np.sqrt(eta)
     y[k, k] = y[k + 1, k + 1] = 0.5 * (1.0 - eta)
     return CovarianceState(x @ state.cov @ x.T + y)
+
+
+def add_noise(state: CovarianceState, mode: int, delta_n: float) -> CovarianceState:
+    """Classical additive-noise channel: <n> -> <n> + delta_n on one mode."""
+    if delta_n < 0:
+        raise ValueError(f"delta_n must be >= 0, got {delta_n}")
+    cov = np.array(state.cov)
+    cov[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] += delta_n * np.eye(2)
+    return CovarianceState(cov)
+
+
+def _lossy_block(state: CovarianceState, modes, etas):
+    """Per-quadrature sqrt transmissivities ``root`` (k, 2m), one row per row
+    of ``etas`` (k, m), and x = root (cov - I/2) root, so that the lossy
+    covariance of ``modes`` plus I/2 is I + x."""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    if etas.min() < 0.0 or etas.max() > 1.0:
+        raise ValueError("efficiencies must lie in [0, 1]")
+    root = np.sqrt(np.repeat(etas, 2, axis=1))
+    sub = state._submatrix(modes) - 0.5 * np.eye(2 * len(modes))
+    return root, root[:, :, None] * sub * root[:, None, :]
+
+
+def log_vacuum_probability(state: CovarianceState, modes, etas) -> np.ndarray:
+    """log P(``modes`` all in vacuum after loss ``etas[j]``), one per row j.
+
+    Loss eta turns the vacuum projection into the no-click POVM (1 - eta)^n
+    of a threshold detector. P = det(I + x)^(-1/2) is summed from log1p of
+    the eigenvalues of the symmetric x, so log P stays accurate near P = 1.
+    """
+    _, x = _lossy_block(state, modes, etas)
+    return -0.5 * np.log1p(np.linalg.eigvalsh(x)).sum(axis=1)
+
+
+def conditional_occupation(state: CovarianceState, mode: int, modes,
+                           etas) -> np.ndarray:
+    """Mean occupation of ``mode`` once ``modes`` are found in vacuum after
+    loss ``etas[j]``, one per row j: the trace of the Schur complement
+    cov_AA - cov_AB' (cov_B'B' + I/2)^-1 cov_B'A over the lossy modes B'."""
+    root, x = _lossy_block(state, modes, etas)
+    k = 2 * mode
+    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
+    cross = state.cov[k:k + 2, idx][None, :, :] * root[:, None, :]
+    schur = state.cov[k:k + 2, k:k + 2] - cross @ np.linalg.solve(
+        x + np.eye(x.shape[1]), np.swapaxes(cross, 1, 2))
+    return 0.5 * np.trace(schur, axis1=1, axis2=2) - 0.5
 
 
 def to_covariance(n_modes: int, ops) -> CovarianceState:

@@ -4,9 +4,12 @@ For a given configuration and write->read delay, the full quantum pipeline
 (thermal mechanics, two-mode squeezing write, write-side threshold
 detection, absorption-heating rethermalization, beam-splitter read-out,
 read-side detection) is collapsed into a 16-entry table of joint click
-patterns (W1, W2, R1, R2). Trials are then O(1) categorical draws from
-that table using counter-based deterministic random numbers, which makes
-1e7+ trials cheap and embarrassingly parallel.
+patterns (W1, W2, R1, R2). Every step is a Gaussian channel, so the table
+is closed form: inclusion-exclusion over vacuum probabilities of subsets of
+silent detectors (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)); the
+Fock engine in ``fock`` is the tests' oracle. Trials are then O(1)
+categorical draws from that table using counter-based deterministic random
+numbers, which makes 1e7+ trials cheap and embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, tags
+from . import gaussian, rng, tags
 from .config import ExperimentConfig
-from .detection import DetectorModel, pair_click_matrix
-from .fock import (TwoModeFockState, add_thermal_noise, beam_splitter,
-                   thermal_state, two_mode_squeeze, vacuum_rho)
+from .detection import PATTERN_FROM_SILENT, DetectorModel, silent_subsets
 
 PROB_SUM_TOL = 1e-9
 SAMPLE_CHUNK = 1_000_000
@@ -103,56 +104,51 @@ class OutcomeTable:
         return float(np.sqrt(self.g2_auto_write_implied() * self.g2_auto_read_implied()))
 
 
-def _conditional_mech_states(state: TwoModeFockState, q_patterns: np.ndarray):
-    """Unnormalized mechanical states conditioned on optical click patterns.
+def _conditional_mech_states(state, q_patterns: np.ndarray):
+    """Unnormalized mechanical states of a ``fock.TwoModeFockState``
+    conditioned on optical click patterns (the tests' oracle).
 
     The POVM elements are diagonal in the optical number basis, so the
     conditional mode-A operator is a q-weighted partial trace over mode B.
     """
     d = state.dim
     r4 = state.rho.reshape(d, d, d, d)
-    out = []
-    for q in q_patterns:
-        out.append(np.einsum("injn,n->ij", r4, q.astype(complex)))
-    return out
+    return [np.einsum("injn,n->ij", r4, q.astype(complex)) for q in q_patterns]
 
 
 def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeTable:
-    """Run the write/heat/read pipeline into a 16-pattern click table."""
-    n_max = config.numerics.n_max
-    leak_tol = config.numerics.leak_tol
+    """Run the write/heat/read pipeline into a 16-pattern click table.
+
+    Modes: 0 mechanics, 1 write photon, 2 read photon. Write detection acts
+    on mode 1 only and commutes with the later heating and read steps on
+    modes 0 and 2, so one three-mode state carries every joint pattern.
+    """
     proto = config.protocol
     heat = config.heating
-
-    mech = thermal_state(heat.n_base, n_max, leak_tol)
-    state = TwoModeFockState.from_single_modes(mech, vacuum_rho(n_max), leak_tol)
-    state = two_mode_squeeze(state, np.arcsinh(np.sqrt(proto.p_pair)))
-
-    det_w = _window_detectors(config, config.chain.window_write_ns)
-    q_write = pair_click_matrix(n_max, *det_w)
-    cond = _conditional_mech_states(state, q_write)
-    weights = np.array([float(np.trace(c).real) for c in cond])
-
     delta_n = heating_occupation(delta_t_ns, heat) - heat.n_base + heat.read_heat
     delta_n = max(delta_n, 0.0)
 
-    det_r = _window_detectors(config, config.chain.window_read_ns)
-    q_read = pair_click_matrix(n_max, *det_r)
+    state = gaussian.set_thermal(gaussian.CovarianceState.vacuum(3), 0, heat.n_base)
+    written = gaussian.two_mode_squeeze(state, 0, 1, np.arcsinh(np.sqrt(proto.p_pair)))
+    heated = gaussian.add_noise(written, 0, delta_n)
+    read = gaussian.beam_splitter(heated, 0, 2, proto.eps_read)
 
-    ns = np.arange(n_max + 1)
-    probs = np.empty(16)
-    occ_write = np.empty(4)
-    occ_read = np.empty(4)
-    for wp, (rho_c, w) in enumerate(zip(cond, weights)):
-        rho_m = rho_c / w
-        occ_write[wp] = float(np.real(np.diag(rho_m)) @ ns)
-        rho_m = add_thermal_noise(rho_m, delta_n)
-        occ_read[wp] = float(np.real(np.diag(rho_m)) @ ns)
-        pair = TwoModeFockState.from_single_modes(rho_m, vacuum_rho(n_max), leak_tol)
-        pair = beam_splitter(pair, proto.eps_read)
-        read_marginal = pair.joint_number_distribution().sum(axis=0)
-        probs[wp * 4: wp * 4 + 4] = w * (q_read @ read_marginal)
-    return OutcomeTable(delta_t_ns, probs, weights, occ_write, occ_read)
+    eta_w, log_b_w = silent_subsets(*_window_detectors(config, config.chain.window_write_ns))
+    eta_r, log_b_r = silent_subsets(*_window_detectors(config, config.chain.window_read_ns))
+    etas = np.stack(np.meshgrid(eta_w, eta_r, indexing="ij"), axis=-1).reshape(16, 2)
+    log_silent = (gaussian.log_vacuum_probability(read, (1, 2), etas).reshape(4, 4)
+                  + np.add.outer(log_b_w, log_b_r))
+    # silent probabilities lie within ~1e-3 of 1 and cancel to click patterns
+    # as small as ~1e-13: sum their complements (click rows sum to 0)
+    joint = PATTERN_FROM_SILENT @ np.expm1(log_silent) @ PATTERN_FROM_SILENT.T
+    joint[0, 0] = np.exp(log_silent[3, 3])
+    weights = joint.sum(axis=1)
+
+    # E[n_mech ; write subset silent] = P(silent) * E[n_mech | silent]
+    n_silent = gaussian.conditional_occupation(written, 0, (1,), eta_w[:, None])
+    occ_write = PATTERN_FROM_SILENT @ (np.exp(log_silent[:, 0]) * n_silent) / weights
+    return OutcomeTable(delta_t_ns, joint.ravel(), weights, occ_write,
+                        occ_write + delta_n)
 
 
 def _trial_layout(config: ExperimentConfig, trials_per_setting: int):
@@ -268,25 +264,20 @@ class ThermometryResult:
 def _sideband_click_probs(config: ExperimentConfig, strength: float,
                           ideal: bool = False):
     """Write-window click-pattern probabilities for a blue (Stokes) and a
-    red (anti-Stokes) pulse of equal interaction strength."""
-    n_max = config.numerics.n_max
-    leak_tol = config.numerics.leak_tol
-    mech = thermal_state(config.heating.n_base, n_max, leak_tol)
-    base = TwoModeFockState.from_single_modes(mech, vacuum_rho(n_max), leak_tol)
-    blue = two_mode_squeeze(base, np.arcsinh(np.sqrt(strength)))
-    red = beam_splitter(base, strength)
+    red (anti-Stokes) pulse of equal interaction strength. Either leaves a
+    thermal optical mode, of occupation strength * (1 + n_base) or
+    strength * n_base, found in vacuum after loss eta with probability
+    1 / (1 + eta * n)."""
+    n_base = config.heating.n_base
     if ideal:
         chain = config.chain
         dets = (DetectorModel(chain.detector_efficiency(1)),
                 DetectorModel(chain.detector_efficiency(2)))
     else:
         dets = _window_detectors(config, config.chain.window_write_ns)
-    q = pair_click_matrix(n_max, *dets)
-    out = []
-    for state in (blue, red):
-        marginal = state.joint_number_distribution().sum(axis=0)
-        out.append(q @ marginal)
-    return out
+    eta, log_b = silent_subsets(*dets)
+    return [PATTERN_FROM_SILENT @ np.exp(log_b - np.log1p(eta * n_bar))
+            for n_bar in (strength * (1.0 + n_base), strength * n_base)]
 
 
 def simulate_thermometry(config: ExperimentConfig, pulses: int,
@@ -320,7 +311,8 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int,
     clicks_blue = count_clicks(p_blue, 0)
     clicks_red = count_clicks(p_red, per_color)
     det_w = _window_detectors(config, config.chain.window_write_ns)
-    background = 1.0 - det_w[0].background_silent_prob * det_w[1].background_silent_prob
+    background = -float(np.expm1(det_w[0].background_log_silent_prob
+                                 + det_w[1].background_log_silent_prob))
     return ThermometryResult(per_color, clicks_blue, clicks_red,
                              background, float(ideal_asym))
 

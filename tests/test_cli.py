@@ -98,6 +98,19 @@ class TestExitCodes:
         assert run(["analyze", tmp_path / "nope.tags",
                     "--out", tmp_path / "o"]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["thermometry", "--pulses", 2, "--out", "t.json"],
+        ["reproduce", "--figure", "fig2", "--trials", 2, "--out", "figs"],
+        ["reproduce", "--figure", "fig3b", "--trials", 1000, "--out", "figs"],
+    ], ids=["thermometry", "fig2", "fig3b"])
+    def test_degenerate_estimates_are_5(self, tmp_path, monkeypatch, capsys, argv):
+        # too few pulses or trials leave a rate-asymmetry pole or no singles
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 5
+        err = capsys.readouterr().err
+        assert "degenerate statistics" in err
+        assert "Traceback" not in err
+
 
 class TestThermometryCommand:
     def test_report_written(self, tmp_path):

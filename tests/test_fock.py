@@ -174,9 +174,19 @@ def test_squeeze_preserves_purity(r):
 @settings(max_examples=30, deadline=None)
 @given(t=st.floats(0.0, 1.0), mu=st.floats(0.001, 0.1))
 def test_beam_splitter_transfers_fraction(t, mu):
-    state = tmsv(mu, n_max=10)
+    # n_max 12: at n_max 10 the split state leaks past the cutoff for
+    # mu >= ~0.094 (see the test below)
+    state = tmsv(mu, n_max=12)
     n_a = state.mean_occupation("A")
     out = F.beam_splitter(state, t)
     # mode B starts in vacuum, so it receives exactly t of mode A's photons
     assert out.mean_occupation("B") == pytest.approx(
         t * n_a + (1 - t) * state.mean_occupation("B"), abs=1e-9)
+
+
+def test_beam_splitter_truncation_guard():
+    # a balanced split of the mu = 0.1 pair state pushes more than leak_tol
+    # into the top level of an n_max 10 space
+    state = tmsv(0.1, n_max=10)
+    with pytest.raises(F.TruncationError):
+        F.beam_splitter(state, 0.5)
