@@ -84,36 +84,39 @@ class CorrelationEstimate:
 
 @dataclass
 class TrialTable:
-    """Per-trial click booleans for one write->read delay setting."""
+    """Clicked trials of one write->read delay setting: for each detector
+    in each window, the sorted, unique local trial indices that clicked."""
 
     delta_t_ns: float
+    trials: int
     w1: np.ndarray
     w2: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
 
     @property
-    def trials(self) -> int:
-        return len(self.w1)
-
-    @property
     def w_any(self) -> np.ndarray:
-        return self.w1 | self.w2
+        return np.union1d(self.w1, self.w2)
 
     @property
     def r_any(self) -> np.ndarray:
-        return self.r1 | self.r2
+        return np.union1d(self.r1, self.r2)
 
     def counters(self) -> dict:
+        w, r = self.w_any, self.r_any
         return {
             "T": self.trials,
-            "N_W1": int(self.w1.sum()), "N_W2": int(self.w2.sum()),
-            "N_R1": int(self.r1.sum()), "N_R2": int(self.r2.sum()),
-            "N_W1W2": int((self.w1 & self.w2).sum()),
-            "N_R1R2": int((self.r1 & self.r2).sum()),
-            "N_W": int(self.w_any.sum()), "N_R": int(self.r_any.sum()),
-            "N_WR": int((self.w_any & self.r_any).sum()),
+            "N_W1": self.w1.size, "N_W2": self.w2.size,
+            "N_R1": self.r1.size, "N_R2": self.r2.size,
+            "N_W1W2": _coincidences(self.w1, self.w2),
+            "N_R1R2": _coincidences(self.r1, self.r2),
+            "N_W": w.size, "N_R": r.size, "N_WR": _coincidences(w, r),
         }
+
+
+def _coincidences(a: np.ndarray, b: np.ndarray, offset: int = 0) -> int:
+    """Number of trials n in ``a`` with n + offset in ``b`` (both sorted, unique)."""
+    return np.intersect1d(a + offset, b, assume_unique=True).size
 
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
@@ -123,7 +126,8 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     ``read_window_ns`` trims the read evaluation window post hoc (e.g.
     55 ns -> 30 ns) without resimulating; records beyond the trimmed but
     inside the configured window are dropped silently. Records outside
-    their labelled window are format errors.
+    their labelled window are format errors. The tables depend neither on
+    the record order nor on repeated records.
     """
     if trials_per_setting is None:
         trials_per_setting = config.protocol.trials
@@ -141,10 +145,9 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
 
     out = {}
     rec = stream.records
-    setting_of = (rec["trial_index"] // trials_per_setting).astype(np.int64)
-    local = rec["trial_index"] - setting_of.astype(np.uint64) * np.uint64(trials_per_setting)
+    setting_of, local = np.divmod(rec["trial_index"].astype(np.int64),
+                                  trials_per_setting)
     for k, delta_t in enumerate(settings):
-        flags = [np.zeros(trials_per_setting, dtype=bool) for _ in range(4)]
         mine = setting_of == k
         r = rec[mine]
         trial = local[mine]
@@ -159,57 +162,42 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
                 "record time outside its labelled pulse window "
                 f"(trial {int(r['trial_index'][(bad_write | bad_read)][0])})")
         in_trim = t < read_start + int(round(trim_ns * 1000.0))
-        for det in (0, 1):
-            flags[det][trial[is_write & (r["detector"] == det)]] = True
-            sel = ~is_write & (r["detector"] == det) & in_trim
-            flags[2 + det][trial[sel]] = True
-        out[delta_t] = TrialTable(delta_t, *flags)
+        channels = [np.unique(trial[sel & (r["detector"] == det)])
+                    for sel in (is_write, ~is_write & in_trim) for det in (0, 1)]
+        out[delta_t] = TrialTable(delta_t, trials_per_setting, *channels)
     return out
 
 
-def _scaled_estimate(n_coinc, n_pairs, p_single_1, p_single_2, counts) -> CorrelationEstimate:
-    if p_single_1 <= 0 or p_single_2 <= 0:
+def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> CorrelationEstimate:
+    """g = P(coincidence) / (P1 * P2) with singles n_1, n_2 out of n_trials."""
+    if n_1 == 0 or n_2 == 0:
         raise EstimatorError("zero single-event probability")
     p_ml, s_minus, s_plus = binomial_ci(n_coinc, n_pairs)
-    scale = 1.0 / (p_single_1 * p_single_2)
+    scale = 1.0 / ((n_1 / n_trials) * (n_2 / n_trials))
     return CorrelationEstimate(p_ml * scale, s_minus * scale, s_plus * scale, counts)
 
 
-def g2_cross_estimate(table: TrialTable, delta_n: int = 0) -> CorrelationEstimate:
-    """Cross-correlation between write of trial n and read of trial n+delta_n."""
-    t = table.trials
-    if t - abs(delta_n) < 1:
-        raise EstimatorError(f"offset {delta_n} leaves no trial pairs")
-    w, r = table.w_any, table.r_any
-    if delta_n >= 0:
-        coinc = int((w[: t - delta_n] & r[delta_n:]).sum()) if delta_n else int((w & r).sum())
-    else:
-        coinc = int((w[-delta_n:] & r[: t + delta_n]).sum())
-    pairs = t - abs(delta_n)
-    p_w, p_r = w.sum() / t, r.sum() / t
-    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": int(w.sum()),
-              "N_R": int(r.sum()), "T": t, "delta_n": delta_n}
-    return _scaled_estimate(coinc, pairs, p_w, p_r, counts)
+def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
+    """Cross-correlation between write of trial n and read of trial n+delta_n.
 
-
-def g2_cross_pooled(table: TrialTable, delta_ns) -> CorrelationEstimate:
-    """Single estimate pooling coincidences over several trial offsets."""
+    An int is one offset; a sequence of nonzero offsets gives a single
+    estimate pooling their coincidences and trial pairs.
+    """
     t = table.trials
+    pooled = np.ndim(delta_n) > 0
+    offsets = list(delta_n) if pooled else [delta_n]
     w, r = table.w_any, table.r_any
-    coinc = 0
-    pairs = 0
-    for dn in delta_ns:
-        if dn == 0 or t - abs(dn) < 1:
+    coinc = pairs = 0
+    for dn in offsets:
+        if pooled and (dn == 0 or t - abs(dn) < 1):
             raise EstimatorError(f"invalid pooled offset {dn}")
-        if dn > 0:
-            coinc += int((w[: t - dn] & r[dn:]).sum())
-        else:
-            coinc += int((w[-dn:] & r[: t + dn]).sum())
+        if t - abs(dn) < 1:
+            raise EstimatorError(f"offset {dn} leaves no trial pairs")
+        coinc += _coincidences(w, r, dn)
         pairs += t - abs(dn)
-    p_w, p_r = w.sum() / t, r.sum() / t
-    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": int(w.sum()),
-              "N_R": int(r.sum()), "T": t, "delta_n": list(delta_ns)}
-    return _scaled_estimate(coinc, pairs, p_w, p_r, counts)
+    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": w.size, "N_R": r.size,
+              "T": t, "delta_n": offsets if pooled else delta_n}
+    return _scaled_estimate(coinc, pairs, w.size, r.size, t, counts)
 
 
 def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimate:
@@ -229,18 +217,14 @@ def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimat
         use = [tables[delta_t_ns]]
     else:
         raise ValueError(f"window must be WRITE or READ, got {window!r}")
-    if window == "WRITE":
-        x1 = np.concatenate([t.w1 for t in use])
-        x2 = np.concatenate([t.w2 for t in use])
-    else:
-        x1 = np.concatenate([t.r1 for t in use])
-        x2 = np.concatenate([t.r2 for t in use])
-    t = len(x1)
-    coinc = int((x1 & x2).sum())
-    p1, p2 = x1.sum() / t, x2.sum() / t
-    counts = {"N_coinc": coinc, "N_1": int(x1.sum()), "N_2": int(x2.sum()),
-              "T": t, "window": window}
-    return _scaled_estimate(coinc, t, p1, p2, counts)
+    channels = [(tab.w1, tab.w2) if window == "WRITE" else (tab.r1, tab.r2)
+                for tab in use]
+    t = sum(tab.trials for tab in use)
+    coinc = sum(_coincidences(x1, x2) for x1, x2 in channels)
+    n1 = sum(x1.size for x1, _ in channels)
+    n2 = sum(x2.size for _, x2 in channels)
+    counts = {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": t, "window": window}
+    return _scaled_estimate(coinc, t, n1, n2, t, counts)
 
 
 def _g_log_likelihood(n_coinc, n_pairs, scale, t_grid):
@@ -326,6 +310,8 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
     interval is propagated from the red-count likelihood, which dominates
     near the ground state.
     """
+    if pulses < 1:
+        raise EstimatorError(f"need at least one pulse per color, got {pulses}")
     rate_red = clicks_red / pulses
     rate_blue = clicks_blue / pulses
     denom = rate_blue - rate_red

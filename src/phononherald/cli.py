@@ -55,7 +55,7 @@ def _load_config(args) -> config_mod.ExperimentConfig:
         overrides["protocol"] = proto
     if overrides:
         cfg = cfg.replace(**overrides)
-    config_mod._check(cfg)
+    config_mod.check(cfg)
     return cfg
 
 
@@ -114,7 +114,7 @@ def _analyze_tables(cfg, trial_tables, delta_n_max):
             offsets = list(range(1, delta_n_max + 1))
             entry["delta_n"] = {
                 dn: analysis.g2_cross_estimate(table, dn) for dn in offsets}
-            entry["delta_n_pooled"] = analysis.g2_cross_pooled(table, offsets)
+            entry["delta_n_pooled"] = analysis.g2_cross_estimate(table, offsets)
         results.append(entry)
     return results
 

@@ -136,7 +136,7 @@ _NONNEGATIVE_FIELDS = {
 }
 
 
-def _check(config: ExperimentConfig) -> None:
+def check(config: ExperimentConfig) -> None:
     errors = []
     for path in _UNIT_FIELDS:
         section, name = path.split(".")
@@ -210,13 +210,13 @@ def from_dict(data: dict) -> ExperimentConfig:
             section["delta_t_list_ns"] = tuple(section["delta_t_list_ns"])
         kwargs[key] = cls(**section)
     config = ExperimentConfig(**kwargs)
-    _check(config)
+    check(config)
     return config
 
 
 def default_config() -> ExperimentConfig:
     config = ExperimentConfig()
-    _check(config)
+    check(config)
     return config
 
 

@@ -19,7 +19,7 @@ _INV_2_53 = float(2.0 ** -53)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
+    """splitmix64 finalizer; mixes ``x`` in place and returns it."""
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)

@@ -4,6 +4,11 @@ Header (32 bytes): magic 4s, version u16, reserved u16, config-hash u64
 (FNV-1a of the canonical config JSON), trial count u64, record count u64.
 Records (24 bytes each): trial_index u64, detector u8, pulse_label u8,
 reserved u16 = 0, time_ps u64, pad u32 = 0.
+
+``read_tagstream`` validates every record's fields but not the record
+order or uniqueness that the sampler produces: the analysis reduces each
+channel to sorted, unique trial indices, so its results depend on
+neither.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def test_criterion_4_headline_correlation():
     auto_r = A.g2_auto_estimate({100.0: tt}, "READ", 100.0)
     bound = A.classical_bound(auto_w, auto_r)
     verdict = A.cauchy_schwarz_test(cross, bound)
-    pooled = A.g2_cross_pooled(tt, range(1, 11))
+    pooled = A.g2_cross_estimate(tt, range(1, 11))
     elapsed = time.time() - t0
 
     ok_cross = overlaps(cross, 8.0 - 0.5, 8.0 + 0.6)
@@ -222,7 +222,8 @@ def test_criterion_8_statistics_engine():
             x1 = np.zeros(100_000, dtype=bool)
             x2 = np.zeros(100_000, dtype=bool)
             x1[:60], x2[60 - min(c1, c2):140 - min(c1, c2)] = True, True
-            tt = A.TrialTable(100.0, x1, x2, x1, x2)
+            tt = A.TrialTable(100.0, x1.size, np.flatnonzero(x1), np.flatnonzero(x2),
+                              np.flatnonzero(x1), np.flatnonzero(x2))
             aw = A.g2_auto_estimate({100.0: tt}, "WRITE")
             c = dict(aw.counts)
             c["N_coinc"] = c1

@@ -1,6 +1,8 @@
 """Statistics: likelihood intervals, tabulation, correlation estimators,
 the convolved classical bound, thermometry and fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,8 +51,8 @@ class TestBinomialCI:
 
 
 def make_table(w1, w2, r1, r2, delta_t=100.0):
-    to = lambda x: np.asarray(x, dtype=bool)
-    return A.TrialTable(delta_t, to(w1), to(w2), to(r1), to(r2))
+    channels = (np.flatnonzero(x) for x in (w1, w2, r1, r2))
+    return A.TrialTable(delta_t, len(w1), *channels)
 
 
 class TestTabulate:
@@ -136,7 +138,7 @@ class TestCorrelationEstimators:
         w = rng.random(500) < 0.2
         r = rng.random(500) < 0.2
         table = make_table(w, np.zeros(500), r, np.zeros(500))
-        pooled = A.g2_cross_pooled(table, [1, 2, 3])
+        pooled = A.g2_cross_estimate(table, [1, 2, 3])
         total = sum(A.g2_cross_estimate(table, d).counts["N_coinc"]
                     for d in (1, 2, 3))
         assert pooled.counts["N_coinc"] == total
@@ -145,7 +147,7 @@ class TestCorrelationEstimators:
     def test_pooled_rejects_zero_offset(self):
         table = make_table([1, 0], [0, 0], [1, 0], [0, 0])
         with pytest.raises(A.EstimatorError):
-            A.g2_cross_pooled(table, [0, 1])
+            A.g2_cross_estimate(table, [0, 1])
 
     def test_auto_write_pools_settings(self):
         t1 = make_table([1, 0, 1, 0], [1, 0, 0, 0], [0] * 4, [0] * 4, 100.0)
@@ -165,6 +167,74 @@ class TestCorrelationEstimators:
         table = make_table([0, 0], [0, 0], [1, 0], [0, 0])
         with pytest.raises(A.EstimatorError, match="zero single"):
             A.g2_cross_estimate(table, 0)
+
+
+def dense_flags(stream, config, k):
+    """Per-trial click booleans (w1, w2, r1, r2) of setting ``k``."""
+    n = config.protocol.trials
+    rec = stream.records[stream.records["trial_index"] // n == k]
+    local = (rec["trial_index"] % n).astype(np.int64)
+    flags = []
+    for label in (tags.WRITE_PULSE, tags.READ_PULSE):
+        for det in (0, 1):
+            x = np.zeros(n, dtype=bool)
+            x[local[(rec["pulse_label"] == label) & (rec["detector"] == det)]] = True
+            flags.append(x)
+    return flags
+
+
+def dense_offset_coincidences(w, r, dn):
+    """Trials n with a write click at n and a read click at n + dn."""
+    t = len(w)
+    return int((w[: t - dn] & r[dn:]).sum() if dn >= 0 else (w[-dn:] & r[: t + dn]).sum())
+
+
+def test_record_level_counts_match_dense_oracle(fast_config):
+    settings = (100.0, 400.0, 1000.0)
+    cfg = fast_config.replace(protocol=dataclasses.replace(
+        fast_config.protocol, delta_t_list_ns=settings, trials=20_000))
+    outcome = [protocol.build_outcome_table(cfg, dt) for dt in settings]
+    stream = protocol.sample_trials(cfg, outcome)
+    tables = A.tabulate(stream, cfg)
+    auto_write = np.zeros(4, dtype=np.int64)
+    for k, dt in enumerate(settings):
+        table = tables[dt]
+        w1, w2, r1, r2 = dense_flags(stream, cfg, k)
+        w, r = w1 | w2, r1 | r2
+        assert table.counters() == {
+            "T": cfg.protocol.trials,
+            "N_W1": int(w1.sum()), "N_W2": int(w2.sum()),
+            "N_R1": int(r1.sum()), "N_R2": int(r2.sum()),
+            "N_W1W2": int((w1 & w2).sum()), "N_R1R2": int((r1 & r2).sum()),
+            "N_W": int(w.sum()), "N_R": int(r.sum()), "N_WR": int((w & r).sum()),
+        }
+        n, singles = cfg.protocol.trials, {"N_W": int(w.sum()), "N_R": int(r.sum())}
+        for dn in range(-3, 11):
+            assert A.g2_cross_estimate(table, dn).counts == {
+                "N_coinc": dense_offset_coincidences(w, r, dn), "pairs": n - abs(dn),
+                **singles, "T": n, "delta_n": dn}
+        assert A.g2_cross_estimate(table, range(1, 11)).counts == {
+            "N_coinc": sum(dense_offset_coincidences(w, r, dn) for dn in range(1, 11)),
+            "pairs": sum(n - dn for dn in range(1, 11)), **singles, "T": n,
+            "delta_n": list(range(1, 11))}
+        read = A.g2_auto_estimate(tables, "READ", dt).counts
+        assert (read["N_coinc"], read["N_1"], read["N_2"], read["T"]) == (
+            int((r1 & r2).sum()), int(r1.sum()), int(r2.sum()), len(r1))
+        auto_write += [int((w1 & w2).sum()), int(w1.sum()), int(w2.sum()), len(w1)]
+    write = A.g2_auto_estimate(tables, "WRITE").counts
+    assert [write[key] for key in ("N_coinc", "N_1", "N_2", "T")] == auto_write.tolist()
+    assert write["N_coinc"] > 0 and min(t.counters()["N_WR"] for t in tables.values()) > 0
+
+    # record order and repeated records do not matter to the analysis
+    rng = np.random.default_rng(3)
+    recs = stream.records
+    messy = np.concatenate([recs, recs[rng.choice(len(recs), len(recs) // 5)]])
+    rng.shuffle(messy)
+    again = A.tabulate(tags.TagStream(stream.config_hash, stream.trial_count, messy), cfg)
+    for dt in settings:
+        assert again[dt].counters() == tables[dt].counters()
+        for name in ("w1", "w2", "r1", "r2"):
+            assert np.array_equal(getattr(again[dt], name), getattr(tables[dt], name))
 
 
 def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):

@@ -102,7 +102,9 @@ class TestExitCodes:
         ["thermometry", "--pulses", 2, "--out", "t.json"],
         ["reproduce", "--figure", "fig2", "--trials", 2, "--out", "figs"],
         ["reproduce", "--figure", "fig3b", "--trials", 1000, "--out", "figs"],
-    ], ids=["thermometry", "fig2", "fig3b"])
+        ["thermometry", "--pulses", 1, "--out", "t.json"],
+        ["reproduce", "--figure", "fig2", "--trials", 1, "--out", "figs"],
+    ], ids=["thermometry", "fig2", "fig3b", "thermometry-1-pulse", "fig2-1-trial"])
     def test_degenerate_estimates_are_5(self, tmp_path, monkeypatch, capsys, argv):
         # too few pulses or trials leave a rate-asymmetry pole or no singles
         monkeypatch.chdir(tmp_path)

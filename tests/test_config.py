@@ -84,9 +84,9 @@ def test_field_validation(section, field, value, fragment):
     bad = cfg.replace(**{section: dataclasses.replace(
         getattr(cfg, section), **{field: value})})
     with pytest.raises(C.ConfigError, match=f"{section}.{field}"):
-        C._check(bad)
+        C.check(bad)
     try:
-        C._check(bad)
+        C.check(bad)
     except C.ConfigError as exc:
         assert fragment in str(exc)
 
@@ -96,14 +96,14 @@ def test_delta_t_list_must_ascend():
     bad = cfg.replace(protocol=dataclasses.replace(
         cfg.protocol, delta_t_list_ns=(200.0, 100.0)))
     with pytest.raises(C.ConfigError, match="ascending"):
-        C._check(bad)
+        C.check(bad)
 
 
 def test_truncation_unsafe_pair_rate_rejected():
     cfg = C.default_config()
     bad = cfg.replace(protocol=dataclasses.replace(cfg.protocol, p_pair=0.9))
     with pytest.raises(C.ConfigError, match="p_pair"):
-        C._check(bad)
+        C.check(bad)
 
 
 def test_canonical_json_is_sorted_and_compact():
