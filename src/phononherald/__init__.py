@@ -4,7 +4,6 @@ photon-counting correlation analysis."""
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, default_config
-from .fock import TwoModeFockState
 from .gaussian import CovarianceState
 from .protocol import OutcomeTable, build_outcome_table, sample_trials
 from .tags import TagStream, read_tagstream, write_tagstream
@@ -12,7 +11,7 @@ from .tags import TagStream, read_tagstream, write_tagstream
 __all__ = [
     "__version__",
     "ExperimentConfig", "default_config",
-    "TwoModeFockState", "CovarianceState",
+    "CovarianceState",
     "OutcomeTable", "build_outcome_table", "sample_trials",
     "TagStream", "read_tagstream", "write_tagstream",
 ]

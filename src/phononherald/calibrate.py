@@ -42,6 +42,8 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
         raise ValueError("need at least one target point")
     delta_ts = np.array([p[0] for p in targets], dtype=float)
     g_target = np.array([p[1] for p in targets], dtype=float)
+    if not (np.isfinite(delta_ts).all() and np.isfinite(g_target).all()):
+        raise ValueError("target points must be finite")
 
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))

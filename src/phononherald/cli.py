@@ -292,8 +292,13 @@ def cmd_calibrate_heating(args) -> int:
     cfg = _load_config(args)
     targets = []
     with open(args.target, newline="") as fh:
-        for row in csv.DictReader(fh):
-            targets.append((float(row["delta_t_ns"]), float(row["g2_om"])))
+        for n, row in enumerate(csv.DictReader(fh), start=1):
+            try:
+                targets.append((float(row["delta_t_ns"]), float(row["g2_om"])))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise config_mod.ConfigError(
+                    f"{args.target} row {n}: need numeric delta_t_ns and g2_om "
+                    f"columns") from exc
     a_heat = calibrate.calibrate_a_heat(cfg, targets)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -134,10 +136,35 @@ _NONNEGATIVE_FIELDS = {
     "chain.dark_rate_hz", "chain.suppression_db", "heating.n_base",
     "heating.a_heat", "heating.read_heat",
 }
+_INTEGER_FIELDS = {"protocol.trials", "numerics.n_max", "seed"}
+
+
+def _type_errors(config: ExperimentConfig) -> list:
+    """Every field must hold a finite number, an integer where
+    _INTEGER_FIELDS says so; a bool is neither. Values are not coerced, so
+    a valid config keeps its canonical JSON and hash."""
+    values = {"seed": config.seed}
+    for section, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if f.name != "delta_t_list_ns":
+                values[f"{section}.{f.name}"] = getattr(getattr(config, section), f.name)
+    for i, t in enumerate(config.protocol.delta_t_list_ns):
+        values[f"protocol.delta_t_list_ns[{i}]"] = t
+    errors = []
+    for path, value in values.items():
+        integer = path in _INTEGER_FIELDS
+        kind = numbers.Integral if integer else numbers.Real
+        if (isinstance(value, bool) or not isinstance(value, kind)
+                or (not integer and not math.isfinite(value))):
+            expected = "an integer" if integer else "a finite number"
+            errors.append(f"{path}: expected {expected}, got {value!r}")
+    return errors
 
 
 def check(config: ExperimentConfig) -> None:
-    errors = []
+    errors = _type_errors(config)
+    if errors:
+        raise ConfigError("; ".join(sorted(errors)))
     for path in _UNIT_FIELDS:
         section, name = path.split(".")
         value = getattr(getattr(config, section), name)
@@ -191,8 +218,6 @@ def from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key == "seed":
-            if not isinstance(value, int):
-                raise ConfigError(f"seed: expected integer, got {value!r}")
             kwargs["seed"] = value
             continue
         cls = _SECTIONS.get(key)
@@ -207,6 +232,8 @@ def from_dict(data: dict) -> ExperimentConfig:
                 f"{key}.{sorted(unknown)[0]}: unknown field")
         section = dict(value)
         if key == "protocol" and "delta_t_list_ns" in section:
+            if not isinstance(section["delta_t_list_ns"], list):
+                raise ConfigError("protocol.delta_t_list_ns: expected a list")
             section["delta_t_list_ns"] = tuple(section["delta_t_list_ns"])
         kwargs[key] = cls(**section)
     config = ExperimentConfig(**kwargs)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlog1py
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,3 @@ def silent_subsets(det1: DetectorModel, det2: DetectorModel):
     return (np.array([0.0, e1, e2, min(e1 + e2, 1.0)]),
             np.array([0.0, l1, l2, l1 + l2]))
 
-
-def pair_click_matrix(n_max: int, det1: DetectorModel, det2: DetectorModel) -> np.ndarray:
-    """Joint click POVM for two detectors watching one mode.
-
-    Returns a (4, n_max+1) array q[pattern, n] with pattern index
-    2*click1 + click2. Each photon independently reaches detector 1 with
-    probability det1.efficiency, detector 2 with det2.efficiency
-    (efficiencies include the splitting ratio, so their sum must be <= 1).
-    """
-    eta, log_b = silent_subsets(det1, det2)
-    log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
-    # click patterns are alternating sums of silent probabilities near 1:
-    # sum their complements, which keep full relative accuracy
-    q = PATTERN_FROM_SILENT @ np.expm1(log_silent)
-    q[0] = np.exp(log_silent[3])
-    return q

@@ -6,6 +6,11 @@ channels return new states; nothing is mutated in place. Every constructor
 and channel re-checks the state invariants (trace, Hermiticity, positivity
 and top-level truncation leakage), so a state that survives a pipeline is
 guaranteed to be numerically trustworthy.
+
+With the click POVM of two threshold detectors on one mode
+(``pair_click_matrix``) and pattern-conditioned states
+(``conditional_mech_states``) it is the tests' oracle for the closed-form
+outcome tables of ``protocol``; no production path imports it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import binom
+from scipy.special import binom, xlog1py
+
+from .detection import PATTERN_FROM_SILENT, DetectorModel, silent_subsets
 
 DEFAULT_N_MAX = 8
 DEFAULT_LEAK_TOL = 1e-8
@@ -310,3 +317,32 @@ def add_thermal_noise(rho: np.ndarray, delta_n: float) -> np.ndarray:
     state = TwoModeFockState(np.kron(cooled, vacuum_rho(n_max)), n_max, leak_tol=1.0)
     amplified = two_mode_squeeze(state, np.arccosh(np.sqrt(gain)))
     return amplified.reduced("A")
+
+
+def pair_click_matrix(n_max: int, det1: DetectorModel, det2: DetectorModel) -> np.ndarray:
+    """Joint click POVM for two detectors watching one mode.
+
+    Returns a (4, n_max+1) array q[pattern, n] with pattern index
+    2*click1 + click2. Each photon independently reaches detector 1 with
+    probability det1.efficiency, detector 2 with det2.efficiency
+    (efficiencies include the splitting ratio, so their sum must be <= 1).
+    """
+    eta, log_b = silent_subsets(det1, det2)
+    log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
+    # click patterns are alternating sums of silent probabilities near 1:
+    # sum their complements, which keep full relative accuracy
+    q = PATTERN_FROM_SILENT @ np.expm1(log_silent)
+    q[0] = np.exp(log_silent[3])
+    return q
+
+
+def conditional_mech_states(state: TwoModeFockState, q_patterns: np.ndarray):
+    """Unnormalized mode-A states of ``state`` conditioned on the click
+    patterns of ``q_patterns`` (rows of a ``pair_click_matrix``) on mode B.
+
+    The POVM elements are diagonal in the optical number basis, so the
+    conditional mode-A operator is a q-weighted partial trace over mode B.
+    """
+    d = state.dim
+    r4 = state.rho.reshape(d, d, d, d)
+    return [np.einsum("injn,n->ij", r4, q.astype(complex)) for q in q_patterns]

@@ -16,12 +16,6 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_TOL = 1e-10
 
-GAUSSIAN_OPS = ("thermal", "squeeze", "beam_splitter", "loss")
-
-
-class NonGaussianOperationError(Exception):
-    """A circuit contains an operation outside the Gaussian set."""
-
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     omega1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -63,13 +57,6 @@ class CovarianceState:
     def _submatrix(self, modes) -> np.ndarray:
         idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
         return self.cov[np.ix_(idx, idx)]
-
-    def vacuum_probability(self, modes=None) -> float:
-        """P(all listed modes measured in the vacuum), default all modes."""
-        if modes is None:
-            modes = range(self.n_modes)
-        sub = self._submatrix(list(modes))
-        return 1.0 / np.sqrt(np.linalg.det(sub + 0.5 * np.eye(sub.shape[0])))
 
 
 def _embed(n_modes: int, block: np.ndarray, modes) -> np.ndarray:
@@ -175,46 +162,3 @@ def conditional_occupation(state: CovarianceState, mode: int, modes,
         x + np.eye(x.shape[1]), np.swapaxes(cross, 1, 2))
     return 0.5 * np.trace(schur, axis1=1, axis2=2) - 0.5
 
-
-def to_covariance(n_modes: int, ops) -> CovarianceState:
-    """Run a sequence of Gaussian ops on an all-vacuum register.
-
-    Each op is a tuple: ("thermal", mode, n_bar), ("squeeze", a, b, r[, phase]),
-    ("beam_splitter", a, b, transmittance[, phase]) or ("loss", mode, eta).
-    """
-    state = CovarianceState.vacuum(n_modes)
-    for op in ops:
-        name, *args = op
-        if name == "thermal":
-            state = set_thermal(state, *args)
-        elif name == "squeeze":
-            state = two_mode_squeeze(state, *args)
-        elif name == "beam_splitter":
-            state = beam_splitter(state, *args)
-        elif name == "loss":
-            state = loss(state, *args)
-        else:
-            raise NonGaussianOperationError(
-                f"operation {name!r} is not in the Gaussian set {GAUSSIAN_OPS}")
-    return state
-
-
-def gaussian_click_stats(state: CovarianceState, etas) -> dict:
-    """No-click statistics of threshold detectors with efficiencies ``etas``.
-
-    Applies per-mode loss, then evaluates vacuum-projection probabilities.
-    Returns per-mode no-click probabilities, the joint no-click probability
-    and the (pre-loss) mean occupations.
-    """
-    etas = list(etas)
-    if len(etas) != state.n_modes:
-        raise ValueError("one efficiency per mode required")
-    means = [state.mean_occupation(m) for m in range(state.n_modes)]
-    lossy = state
-    for m, eta in enumerate(etas):
-        lossy = loss(lossy, m, eta)
-    return {
-        "no_click": [lossy.vacuum_probability([m]) for m in range(state.n_modes)],
-        "joint_no_click": lossy.vacuum_probability(),
-        "mean_occupation": means,
-    }

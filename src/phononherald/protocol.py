@@ -7,9 +7,11 @@ read-side detection) is collapsed into a 16-entry table of joint click
 patterns (W1, W2, R1, R2). Every step is a Gaussian channel, so the table
 is closed form: inclusion-exclusion over vacuum probabilities of subsets of
 silent detectors (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)); the
-Fock engine in ``fock`` is the tests' oracle. Trials are then O(1)
-categorical draws from that table using counter-based deterministic random
-numbers, which makes 1e7+ trials cheap and embarrassingly parallel.
+Fock engine in ``fock`` is the tests' oracle. Each trial then draws one
+counter-based deterministic uniform that decides silent or click against
+P(no click); only the ~1e-3 of trials that click go on to pick their pattern
+from the table and draw click times, which makes 1e7+ trials cheap and
+embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -104,18 +106,6 @@ class OutcomeTable:
         return float(np.sqrt(self.g2_auto_write_implied() * self.g2_auto_read_implied()))
 
 
-def _conditional_mech_states(state, q_patterns: np.ndarray):
-    """Unnormalized mechanical states of a ``fock.TwoModeFockState``
-    conditioned on optical click patterns (the tests' oracle).
-
-    The POVM elements are diagonal in the optical number basis, so the
-    conditional mode-A operator is a q-weighted partial trace over mode B.
-    """
-    d = state.dim
-    r4 = state.rho.reshape(d, d, d, d)
-    return [np.einsum("injn,n->ij", r4, q.astype(complex)) for q in q_patterns]
-
-
 def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeTable:
     """Run the write/heat/read pipeline into a 16-pattern click table.
 
@@ -161,41 +151,33 @@ def read_window_start_ps(config: ExperimentConfig, delta_t_ns: float) -> int:
     return int(round((config.chain.window_write_ns + delta_t_ns) * 1000.0))
 
 
-_SLOTS = (
-    (3, 0, tags.WRITE_PULSE),   # bit, detector, pulse label
-    (2, 1, tags.WRITE_PULSE),
-    (1, 0, tags.READ_PULSE),
-    (0, 1, tags.READ_PULSE),
-)
+def _clicked_trials(p_silent: float, seed: int, start: int, stop: int):
+    """Trials of [start, stop) whose slot-0 uniform u clicks, u >= P(no
+    click), and their u: the only per-trial work of a chunk."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    u = rng.uniforms(seed, idx, 0)
+    clicked = u >= p_silent
+    return idx[clicked], u[clicked]
 
 
 def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
                   start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.uint64)
     cdf = np.cumsum(table.probs)
-    patterns = np.searchsorted(cdf, rng.uniforms(seed, idx, 0), side="right")
+    trial, u = _clicked_trials(cdf[0], seed, start, stop)
+    patterns = np.searchsorted(cdf, u, side="right")
     patterns = np.minimum(patterns, 15)  # guard against cdf[-1] rounding below 1
-    write_len = int(round(config.chain.window_write_ns * 1000.0))
-    read_len = int(round(config.chain.window_read_ns * 1000.0))
-    read_start = read_window_start_ps(config, table.delta_t_ns)
-    parts = []
-    for slot, (bit, detector, label) in enumerate(_SLOTS):
-        mask = (patterns >> bit) & 1 == 1
-        if not mask.any():
-            continue
-        hit = idx[mask]
-        u = rng.uniforms(seed, hit, 1 + slot)
-        if label == tags.WRITE_PULSE:
-            time_ps = (u * write_len).astype(np.uint64)
-        else:
-            time_ps = np.uint64(read_start) + (u * read_len).astype(np.uint64)
-        parts.append(tags.make_records(hit, detector, label, time_ps))
-    if not parts:
-        return np.zeros(0, dtype=tags.RECORD_DTYPE)
-    records = np.concatenate(parts)
-    order = np.lexsort((records["detector"], records["pulse_label"],
-                        records["trial_index"]))
-    return records[order]
+    # slot 2*pulse_label + detector holds pattern bit 3 - slot, so the
+    # row-major nonzero lists records in stream order (trial, label, detector)
+    row, slot = np.nonzero((patterns[:, None] >> np.arange(3, -1, -1)) & 1)
+    trial = trial[row]
+    label = slot >> 1
+    u = rng.uniforms(seed, trial, 1 + slot)
+    starts = np.array([0, read_window_start_ps(config, table.delta_t_ns)],
+                      dtype=np.uint64)
+    lengths = np.array([round(config.chain.window_write_ns * 1000.0),
+                        round(config.chain.window_read_ns * 1000.0)], dtype=float)
+    time_ps = starts[label] + (u * lengths[label]).astype(np.uint64)
+    return tags.make_records(trial, slot & 1, label, time_ps)
 
 
 def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
@@ -298,18 +280,14 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int,
         config, config.protocol.p_pair, ideal=True)
     ideal_asym = (1.0 - p_blue_ideal[0]) / (1.0 - p_red_ideal[0])
 
-    def count_clicks(pattern_probs, offset):
-        clicks = 0
-        cdf = np.cumsum(pattern_probs)
-        for start in range(0, per_color, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, per_color)
-            idx = np.arange(offset + start, offset + stop, dtype=np.uint64)
-            pats = np.searchsorted(cdf, rng.uniforms(seed, idx, 0), side="right")
-            clicks += int((pats > 0).sum())
-        return clicks
+    def count_clicks(p_silent, offset):
+        end = offset + per_color
+        return sum(_clicked_trials(p_silent, seed, start,
+                                   min(start + SAMPLE_CHUNK, end))[0].size
+                   for start in range(offset, end, SAMPLE_CHUNK))
 
-    clicks_blue = count_clicks(p_blue, 0)
-    clicks_red = count_clicks(p_red, per_color)
+    clicks_blue = count_clicks(p_blue[0], 0)
+    clicks_red = count_clicks(p_red[0], per_color)
     det_w = _window_detectors(config, config.chain.window_write_ns)
     background = -float(np.expm1(det_w[0].background_log_silent_prob
                                  + det_w[1].background_log_silent_prob))

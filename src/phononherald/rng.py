@@ -28,13 +28,16 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def uniforms(seed: int, trial_indices: np.ndarray, draw: int) -> np.ndarray:
-    """Uniform [0, 1) variates for one draw slot of many trials."""
-    if not 0 <= draw < DRAWS_PER_TRIAL:
+def uniforms(seed: int, trial_indices: np.ndarray,
+             draw: int | np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) variates of many trials; ``draw`` is one draw slot
+    for all of them or an array of one slot per trial."""
+    draws = np.asarray(draw)
+    if np.any((draws < 0) | (draws >= DRAWS_PER_TRIAL)):
         raise ValueError(f"draw index {draw} outside [0, {DRAWS_PER_TRIAL})")
     trials = np.asarray(trial_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        counter = trials * np.uint64(DRAWS_PER_TRIAL) + np.uint64(draw + 1)
+        counter = trials * np.uint64(DRAWS_PER_TRIAL) + (draws + 1).astype(np.uint64)
         state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counter * _GOLDEN
         z = _mix64(state)
     return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53

@@ -1,9 +1,14 @@
 """End-to-end CLI runs, exit codes, run manifests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phononherald
 from phononherald import cli, config as config_mod
 
 
@@ -16,6 +21,16 @@ def fast_config_path(tmp_path, fast_config):
     path = tmp_path / "fast.json"
     config_mod.save(fast_config, path)
     return path
+
+
+def test_cli_does_not_import_fock_oracle():
+    src = str(Path(phononherald.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, phononherald.cli; "
+            "sys.exit('phononherald.fock' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 class TestSimulateAnalyze:
@@ -68,6 +83,23 @@ class TestExitCodes:
         bad.write_text('{"protocol": {"p_pair": 7.0}}')
         assert run(["simulate", "--config", bad,
                     "--out", tmp_path / "x.tags", "--trials", 10]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"protocol": {"trials": 1.5}}',
+        '{"protocol": {"p_pair": "x"}}',
+        '{"heating": {"a_heat": null}}',
+        '{"seed": true}',
+        '{"protocol": {"delta_t_list_ns": 100}}',
+    ], ids=["float-trials", "string-p_pair", "null-a_heat", "bool-seed",
+            "scalar-delays"])
+    def test_mistyped_config_is_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run(["simulate", "--config", bad,
+                    "--out", tmp_path / "x.tags"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_format_error_is_4(self, tmp_path, fast_config_path):
         corrupt = tmp_path / "corrupt.tags"
@@ -153,6 +185,19 @@ class TestCalibrateHeating:
         out = tmp_path / "fit.json"
         assert run(["calibrate-heating", "--target", target, "--out", out]) == 0
         assert json.loads(out.read_text())["a_heat"] == pytest.approx(0.3, abs=2e-3)
+
+    @pytest.mark.parametrize("text", [
+        "delta_t_ns,g2\n100.0,8.0\n",
+        "delta_t_ns,g2_om\n100.0\n",
+        "delta_t_ns,g2_om\n100.0,nan\n",
+    ], ids=["no-g2_om-column", "short-row", "nan-target"])
+    def test_malformed_target_is_2(self, tmp_path, capsys, text):
+        target = tmp_path / "target.csv"
+        target.write_text(text)
+        out = tmp_path / "fit.json"
+        assert run(["calibrate-heating", "--target", target, "--out", out]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unreachable_target_is_3(self, tmp_path):
         target = tmp_path / "target.csv"

@@ -10,17 +10,24 @@ from phononherald import fock as F
 from phononherald import gaussian as G
 
 
+def no_click(state, etas):
+    """P(no click) of ideal threshold detectors on modes (0, 1): a zero
+    efficiency leaves that mode out, so [[1, 0], [0, 1], [1, 1]] gives the
+    two single-mode and the joint vacuum probabilities."""
+    return np.exp(G.log_vacuum_probability(state, (0, 1), etas))
+
+
 class TestStates:
     def test_vacuum(self):
         state = G.CovarianceState.vacuum(2)
         assert state.mean_occupation(0) == pytest.approx(0.0)
-        assert state.vacuum_probability() == pytest.approx(1.0)
+        assert no_click(state, [1.0, 1.0])[0] == pytest.approx(1.0)
 
     def test_thermal_occupation_and_vacuum_prob(self):
-        state = G.set_thermal(G.CovarianceState.vacuum(1), 0, 0.35)
+        state = G.set_thermal(G.CovarianceState.vacuum(2), 0, 0.35)
         assert state.mean_occupation(0) == pytest.approx(0.35)
         # geometric ground-state weight 1/(1+n)
-        assert state.vacuum_probability() == pytest.approx(1.0 / 1.35)
+        assert no_click(state, [1.0, 1.0])[0] == pytest.approx(1.0 / 1.35)
 
     def test_asymmetric_covariance_rejected(self):
         cov = 0.5 * np.eye(2)
@@ -61,18 +68,6 @@ class TestOperations:
         out = G.loss(state, 0, 0.25)
         assert out.mean_occupation(0) == pytest.approx(0.15)
 
-    def test_to_covariance_rejects_unknown_op(self):
-        with pytest.raises(G.NonGaussianOperationError):
-            G.to_covariance(1, [("kerr", 0, 0.1)])
-
-    def test_click_stats_shapes(self):
-        state = G.to_covariance(2, [("thermal", 0, 0.1), ("squeeze", 0, 1, 0.2)])
-        stats = G.gaussian_click_stats(state, (0.5, 0.8))
-        assert len(stats["no_click"]) == 2
-        assert 0.0 < stats["joint_no_click"] <= 1.0
-        assert stats["mean_occupation"][0] == pytest.approx(
-            state.mean_occupation(0))
-
 
 class TestFockAgreement:
     """The two engines must agree wherever both apply."""
@@ -88,16 +83,15 @@ class TestFockAgreement:
         fst = F.attenuate(fst, "B", eta)
         p = fst.joint_number_distribution()
 
-        gst = G.to_covariance(2, [("thermal", 0, n_bar),
-                                  ("squeeze", 0, 1, r), ("loss", 1, eta)])
-        stats = G.gaussian_click_stats(gst, (1.0, 1.0))
+        gst = G.set_thermal(G.CovarianceState.vacuum(2), 0, n_bar)
+        gst = G.loss(G.two_mode_squeeze(gst, 0, 1, r), 1, eta)
+        no_click_a, _, joint = no_click(gst, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert fst.mean_occupation("A") == pytest.approx(
-            stats["mean_occupation"][0], abs=1e-9)
+            gst.mean_occupation(0), abs=1e-9)
         assert fst.mean_occupation("B") == pytest.approx(
-            stats["mean_occupation"][1], abs=1e-9)
-        assert float(p[0, 0]) == pytest.approx(stats["joint_no_click"], abs=1e-9)
-        assert float(p.sum(axis=1)[0]) == pytest.approx(
-            stats["no_click"][0], abs=1e-9)
+            gst.mean_occupation(1), abs=1e-9)
+        assert float(p[0, 0]) == pytest.approx(joint, abs=1e-9)
+        assert float(p.sum(axis=1)[0]) == pytest.approx(no_click_a, abs=1e-9)
 
     def test_threshold_click_probability(self):
         # lossy threshold click on one arm, cross-checked between engines
@@ -109,9 +103,10 @@ class TestFockAgreement:
         p_b = fst.joint_number_distribution().sum(axis=0)
         p_click_fock = 1.0 - float(p_b @ (1.0 - eta) ** np.arange(n_max + 1))
 
-        gst = G.to_covariance(2, [("thermal", 0, n_bar), ("squeeze", 0, 1, r)])
-        stats = G.gaussian_click_stats(gst, (1.0, eta))
-        assert p_click_fock == pytest.approx(1.0 - stats["no_click"][1], abs=1e-9)
+        gst = G.set_thermal(G.CovarianceState.vacuum(2), 0, n_bar)
+        gst = G.two_mode_squeeze(gst, 0, 1, r)
+        assert p_click_fock == pytest.approx(
+            1.0 - no_click(gst, [0.0, eta])[0], abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,12 @@
 """Protocol pipeline: outcome tables, trial sampling, thermometry."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from phononherald import analysis, protocol, tags
-from phononherald import detection as D
 from phononherald import fock as F
 
 
@@ -49,7 +49,7 @@ class TestOutcomeTable:
         state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
         state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(cfg.protocol.p_pair)))
         dets = protocol._window_detectors(cfg, cfg.chain.window_write_ns)
-        q = D.pair_click_matrix(n_max, *dets)
+        q = F.pair_click_matrix(n_max, *dets)
         optical = state.joint_number_distribution().sum(axis=0)
         expected = q @ optical
         got = table.probs.reshape(4, 4).sum(axis=1)
@@ -131,6 +131,27 @@ class TestSampling:
         starts = stream.records["time_ps"][second & (stream.records["pulse_label"] == 1)]
         assert (starts >= protocol.read_window_start_ps(cfg, 300.0)).all()
 
+    def test_golden_stream(self, fast_config, monkeypatch):
+        # pins the stream bytes of this config and seed, which no sampler
+        # change may alter; 300k trials per setting at the inflated rates
+        # give every pattern bit ~25k records
+        proto = dataclasses.replace(fast_config.protocol,
+                                    delta_t_list_ns=(100.0, 300.0))
+        cfg = fast_config.replace(protocol=proto)
+        tables = [protocol.build_outcome_table(cfg, dt) for dt in (100.0, 300.0)]
+        golden = "5a94ac906add43691a0cd20ae44b5908c57488e2e61d5f750785187435b711ea"
+
+        def digest():
+            stream = protocol.sample_trials(cfg, tables, 300_000, seed=10, threads=2)
+            slots = 2 * stream.records["pulse_label"] + stream.records["detector"]
+            assert np.bincount(slots, minlength=4).min() > 20_000
+            return hashlib.sha256(stream.records.tobytes()).hexdigest()
+
+        assert digest() == golden
+        # a prime chunk length splits settings and trials mid-block
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+        assert digest() == golden
+
     def test_table_order_enforced(self, fast_config):
         proto = dataclasses.replace(fast_config.protocol,
                                     delta_t_list_ns=(100.0, 300.0))
@@ -155,6 +176,11 @@ class TestThermometry:
     def test_blue_rate_exceeds_red(self, default_config):
         result = protocol.simulate_thermometry(default_config, 500_000)
         assert result.clicks_blue > result.clicks_red
+
+    def test_golden_counts(self, default_config):
+        # pins the click counts of this config and seed
+        result = protocol.simulate_thermometry(default_config, 2_000_000, 10)
+        assert (result.clicks_blue, result.clicks_red) == (898, 51)
 
     def test_rejects_nonpositive_pulses(self, default_config):
         with pytest.raises(ValueError):

@@ -55,6 +55,22 @@ def test_draw_index_validated():
         rng.uniforms(0, idx, -1)
 
 
+def test_per_trial_draw_matches_scalar_slots():
+    idx = np.arange(2 ** 40, 2 ** 40 + 400, dtype=np.uint64)
+    draws = np.arange(400) % rng.DRAWS_PER_TRIAL
+    got = rng.uniforms(9, idx, draws)
+    for draw in range(rng.DRAWS_PER_TRIAL):
+        sel = draws == draw
+        assert np.array_equal(got[sel], rng.uniforms(9, idx[sel], draw))
+
+
+@pytest.mark.parametrize("bad", [-1, rng.DRAWS_PER_TRIAL])
+def test_per_trial_draw_validated(bad):
+    idx = np.arange(4, dtype=np.uint64)
+    with pytest.raises(ValueError):
+        rng.uniforms(0, idx, np.array([0, 1, bad, 2]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        start=st.integers(0, 2 ** 40),

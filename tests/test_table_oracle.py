@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from phononherald import config as config_mod
 from phononherald import fock as F
 from phononherald import protocol
-from phononherald.detection import DetectorModel, pair_click_matrix
+from phononherald.detection import DetectorModel
 
 
 def fock_outcome_table(config, delta_t_ns, n_max=None):
@@ -27,14 +27,14 @@ def fock_outcome_table(config, delta_t_ns, n_max=None):
     mech = F.thermal_state(heat.n_base, n_max, leak_tol)
     state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), leak_tol)
     state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(proto.p_pair)))
-    q_write = pair_click_matrix(
+    q_write = F.pair_click_matrix(
         n_max, *protocol._window_detectors(config, config.chain.window_write_ns))
-    cond = protocol._conditional_mech_states(state, q_write)
+    cond = F.conditional_mech_states(state, q_write)
     weights = np.array([float(np.trace(c).real) for c in cond])
 
     delta_n = protocol.heating_occupation(delta_t_ns, heat) - heat.n_base + heat.read_heat
     delta_n = max(delta_n, 0.0)
-    q_read = pair_click_matrix(
+    q_read = F.pair_click_matrix(
         n_max, *protocol._window_detectors(config, config.chain.window_read_ns))
 
     ns = np.arange(n_max + 1)
@@ -105,7 +105,7 @@ def test_thermometry_probs_match_fock_oracle(default_config):
                     DetectorModel(cfg.chain.detector_efficiency(2)))
         else:
             dets = protocol._window_detectors(cfg, cfg.chain.window_write_ns)
-        q = pair_click_matrix(n_max, *dets)
+        q = F.pair_click_matrix(n_max, *dets)
         got = protocol._sideband_click_probs(cfg, strength, ideal=ideal)
         for probs, state in zip(got, (blue, red)):
             want = q @ state.joint_number_distribution().sum(axis=0)
