@@ -3,6 +3,10 @@ binomial-likelihood confidence intervals, the Cauchy-Schwarz classical
 bound via likelihood convolution, sideband thermometry and exponential
 fits.
 
+scipy is slow to import, so only the functions that use it import it:
+``scipy.special`` for the Beta quantiles and likelihood, ``scipy.optimize``
+for the fits. CLI stages that compute no statistics never load scipy.
+
 All intervals are 68% confidence regions built from the flat-prior
 binomial likelihood L(p) ~ p^N (1-p)^(T-N): the lower/upper uncertainties
 leave 16% probability mass below/above them. For the correlation
@@ -16,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import beta as beta_dist
 
 from . import tags
 from .config import ExperimentConfig
@@ -51,10 +53,11 @@ def binomial_ci(n_events: int, n_trials: int) -> tuple[float, float, float]:
         raise EstimatorError(f"need at least one trial, got {n_trials}")
     if not 0 <= n_events <= n_trials:
         raise EstimatorError(f"events {n_events} outside [0, {n_trials}]")
+    from scipy.special import betaincinv  # lazy: see the module docstring
     p_ml = n_events / n_trials
-    dist = beta_dist(n_events + 1, n_trials - n_events + 1)
-    sigma_minus = max(p_ml - dist.ppf(TAIL_MASS), 0.0)
-    sigma_plus = max(dist.ppf(1.0 - TAIL_MASS) - p_ml, 0.0)
+    a, b = n_events + 1, n_trials - n_events + 1
+    sigma_minus = max(p_ml - betaincinv(a, b, TAIL_MASS), 0.0)
+    sigma_plus = max(betaincinv(a, b, 1.0 - TAIL_MASS) - p_ml, 0.0)
     return p_ml, sigma_minus, sigma_plus
 
 
@@ -234,8 +237,12 @@ def _g_log_likelihood(n_coinc, n_pairs, scale, t_grid):
     transformed probability density: no Jacobian factor, so its maximum
     stays exactly at the maximum-likelihood g.
     """
+    from scipy.special import betaln, xlog1py, xlogy  # lazy: see the module docstring
     p = np.exp(t_grid) / scale
-    f = np.where(p <= 1.0, beta_dist(n_coinc + 1, n_pairs - n_coinc + 1).pdf(p), 0.0)
+    n_miss = n_pairs - n_coinc    # Beta(N+1, T-N+1) density, in log space
+    log_f = (xlogy(n_coinc, p) + xlog1py(n_miss, -np.minimum(p, 1.0))
+             - betaln(n_coinc + 1, n_miss + 1))
+    f = np.where(p <= 1.0, np.exp(log_f), 0.0)
     norm = np.trapezoid(f, t_grid)
     if norm <= 0:
         raise EstimatorError("autocorrelation likelihood has no mass on the grid")
@@ -376,6 +383,7 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     else:
         tau0, a0 = t[-1] - t[0], np.ptp(y)
     tau0 = min(max(tau0, 1e-9), 1e9)
+    from scipy import optimize  # lazy: only the m3 figure fits, and it is slow to import
     try:
         popt, _ = optimize.curve_fit(
             f, t, y, p0=[a0, tau0, c0], maxfev=20000,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import optimize
 
 from .config import ExperimentConfig
 from .protocol import build_outcome_table
@@ -48,6 +47,7 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))
 
+    from scipy import optimize  # lazy: slow to import, and only this stage needs it
     result = optimize.minimize_scalar(
         cost, bounds=A_HEAT_BOUNDS, method="bounded",
         options={"xatol": 1e-4})

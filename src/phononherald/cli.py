@@ -15,8 +15,10 @@ import dataclasses
 import json
 import logging
 import os
+import platform
 import sys
 import time
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,8 @@ def _manifest(cfg, subcommand, args, inputs, outputs) -> dict:
         "config_hash": f"{cfg.config_hash():016x}",
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": metadata.version("scipy")},  # no slow scipy import
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "overrides": {k: v for k, v in vars(args).items()
@@ -159,6 +163,8 @@ def _write_analysis_outputs(results, out_dir: Path):
 
 
 def cmd_analyze(args) -> int:
+    if args.delta_n < 0:
+        raise config_mod.ConfigError(f"delta-n: {args.delta_n} must be >= 0")
     cfg = _load_config(args)
     stream = tags.read_tagstream(args.stream)
     if stream.config_hash != cfg.config_hash():
@@ -179,6 +185,8 @@ def cmd_analyze(args) -> int:
 
 
 def _thermometry(cfg, pulses):
+    if pulses <= 0:
+        raise config_mod.ConfigError(f"pulses: {pulses} must be > 0")
     result = protocol.simulate_thermometry(cfg, pulses, cfg.seed)
     return result, analysis.sideband_occupancy(
         result.clicks_red, result.clicks_blue, result.pulses_per_color,
@@ -187,8 +195,6 @@ def _thermometry(cfg, pulses):
 
 def cmd_thermometry(args) -> int:
     cfg = _load_config(args)
-    if args.pulses <= 0:
-        raise config_mod.ConfigError(f"pulses: {args.pulses} must be > 0")
     result, occ = _thermometry(cfg, args.pulses)
     report = {
         "pulses_per_color": result.pulses_per_color,
@@ -208,7 +214,8 @@ def cmd_thermometry(args) -> int:
 
 
 def _reproduce_fig2(cfg, args, out_dir: Path):
-    result, occ = _thermometry(cfg, args.trials or 1_000_000)
+    result, occ = _thermometry(
+        cfg, 1_000_000 if args.trials is None else args.trials)
     asym = (result.rate_blue_corrected / result.rate_red_corrected
             if result.rate_red_corrected > 0 else float("inf"))
     return [_write_csv(

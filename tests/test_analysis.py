@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import beta, norm
 
 from phononherald import analysis as A
 from phononherald import protocol, tags
@@ -41,6 +41,17 @@ class TestBinomialCI:
             A.binomial_ci(1, 0)
         with pytest.raises(A.EstimatorError):
             A.binomial_ci(5, 4)
+
+    def test_edges_are_beta_quantiles(self):
+        # the interval edges are the 16%/84% quantiles of Beta(N+1, T-N+1)
+        for t in (1, 2, 30, 5000, 10**6, 10**8):
+            for n in sorted({n for n in (0, 1, 2, t // 3, t - 1, t) if n <= t}):
+                p_ml, s_minus, s_plus = A.binomial_ci(n, t)
+                dist = beta(n + 1, t - n + 1)
+                lo = min(dist.ppf(A.TAIL_MASS), p_ml)
+                hi = max(dist.ppf(1.0 - A.TAIL_MASS), p_ml)
+                assert p_ml - s_minus == pytest.approx(lo, rel=1e-12, abs=0), (n, t)
+                assert p_ml + s_plus == pytest.approx(hi, rel=1e-12, abs=0), (n, t)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 2000), frac=st.floats(0.0, 1.0))
@@ -246,7 +257,32 @@ def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):
     return A.g2_auto_estimate({100.0: table}, window, 100.0)
 
 
+def beta_pdf_likelihood(n_coinc, n_pairs, scale, t_grid):
+    """Oracle for ``A._g_log_likelihood``: scipy.stats' Beta density."""
+    p = np.exp(t_grid) / scale
+    f = np.where(p <= 1.0, beta(n_coinc + 1, n_pairs - n_coinc + 1).pdf(p), 0.0)
+    return f / np.trapezoid(f, t_grid)
+
+
 class TestClassicalBound:
+    @pytest.mark.parametrize("write, read", [
+        ((2, 40, 50, 10_000), (0, 20, 30, 10_000)),
+        ((180, 95_000, 97_000, 10**8), (0, 60_000, 61_000, 10**8)),
+        ((3, 40, 50, 10_000), (1, 20, 30, 10_000)),
+        ((180, 95_000, 97_000, 10**8), (45, 60_000, 61_000, 10**8)),
+        ((2500, 2_000_000, 2_100_000, 10**9), (900, 1_000_000, 1_100_000, 10**9)),
+    ], ids=["zero-side", "zero-side-1e8", "small", "headline-1e8", "large-counts"])
+    def test_matches_beta_pdf_oracle(self, monkeypatch, write, read):
+        sides = [A.CorrelationEstimate(0.0, 0.0, 0.0,
+                                       {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
+                 for c, n1, n2, t in (write, read)]
+        got = A.classical_bound(*sides)
+        monkeypatch.setattr(A, "_g_log_likelihood", beta_pdf_likelihood)
+        want = A.classical_bound(*sides)
+        assert got.value == want.value
+        assert got.sigma_minus == pytest.approx(want.sigma_minus, rel=1e-12, abs=0)
+        assert got.sigma_plus == pytest.approx(want.sigma_plus, rel=1e-12, abs=0)
+
     def test_ml_below_geometric_mean(self):
         aw = auto_estimate_from_counts(3, 40, 50, 10_000)
         ar = auto_estimate_from_counts(1, 20, 30, 10_000, "READ")

@@ -2,11 +2,14 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import phononherald
 from phononherald import cli, config as config_mod
@@ -23,14 +26,45 @@ def fast_config_path(tmp_path, fast_config):
     return path
 
 
-def test_cli_does_not_import_fock_oracle():
+def loaded_modules(argv=()):
+    """Modules a fresh interpreter holds after importing the CLI and, when
+    ``argv`` is given, running it; also the exit code."""
     src = str(Path(phononherald.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, phononherald.cli; "
-            "sys.exit('phononherald.fock' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    code = ("import json, sys, phononherald.cli as cli; "
+            "argv = sys.argv[1:]; code = cli.main(argv) if argv else 0; "
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def scipy_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "scipy"}
+
+
+def test_cli_does_not_import_fock_oracle():
+    _, modules = loaded_modules()
+    assert "phononherald.fock" not in modules
+    assert not scipy_modules(modules)
+
+
+def test_stages_load_only_the_scipy_they_use(tmp_path, fast_config_path):
+    stream = tmp_path / "run.tags"
+    code, modules = loaded_modules(["simulate", "--config", fast_config_path,
+                                    "--out", stream])
+    assert code == 0 and not scipy_modules(modules)
+    code, modules = loaded_modules(["reproduce", "--figure", "fig3c",
+                                    "--out", tmp_path / "figs"])
+    assert code == 0 and not scipy_modules(modules)
+    for argv in (["analyze", stream, "--config", fast_config_path, "--delta-n", 3,
+                  "--out", tmp_path / "analysis"],
+                 ["thermometry", "--pulses", 200_000, "--out", tmp_path / "t.json"]):
+        code, modules = loaded_modules(argv)
+        assert code == 0 and "scipy.special" in modules
+        assert not {"scipy.stats", "scipy.optimize"} & modules
 
 
 class TestSimulateAnalyze:
@@ -42,6 +76,9 @@ class TestSimulateAnalyze:
         manifest = json.loads((tmp_path / "run.tags.manifest.json").read_text())
         assert manifest["subcommand"] == "simulate"
         assert len(manifest["config_hash"]) == 16
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": numpy.__version__,
+                                        "scipy": scipy.__version__}
 
         out = tmp_path / "analysis"
         assert run(["analyze", stream, "--config", fast_config_path,
@@ -126,6 +163,13 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "error" in summary[0]
 
+    def test_negative_delta_n_is_2(self, tmp_path, capsys):
+        # rejected before the (here missing) stream is read
+        assert run(["analyze", tmp_path / "nope.tags", "--delta-n", -3,
+                    "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file_is_4(self, tmp_path):
         assert run(["analyze", tmp_path / "nope.tags",
                     "--out", tmp_path / "o"]) == 4
@@ -165,6 +209,13 @@ class TestReproduce:
         assert run(["reproduce", "--figure", "fig3c", "--out", out]) == 0
         rows = (out / "fig3c_correlation_decay.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + len(cli.FIG3C_DELAYS)
+
+    def test_fig2_zero_trials_is_2(self, tmp_path, capsys):
+        # 0 pulses per color, as for thermometry --pulses 0, not the 1e6 default
+        out = tmp_path / "figs"
+        assert run(["reproduce", "--figure", "fig2", "--trials", 0, "--out", out]) == 2
+        assert not (out / "fig2_thermometry.csv").exists()
+        assert "config error" in capsys.readouterr().err
 
     def test_m3_fits(self, tmp_path):
         out = tmp_path / "figs"
