@@ -22,7 +22,7 @@ def main():
     print(f"true occupation: {cfg.heating.n_base}")
     print(f"{'pulses':>10} {'n_th':>8} {'-sigma':>8} {'+sigma':>8}")
     for pulses in (10_000, 100_000, 1_000_000, 10_000_000):
-        r = protocol.simulate_thermometry(cfg, pulses, cfg.seed)
+        r = protocol.simulate_thermometry(cfg, pulses)
         occ = analysis.sideband_occupancy(
             r.clicks_red, r.clicks_blue, r.pulses_per_color,
             r.background_click_prob)

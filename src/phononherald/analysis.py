@@ -204,14 +204,13 @@ def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
 
 
 def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimate:
-    """HBT autocorrelation from the two detectors within one window.
+    """HBT autocorrelation from the two detectors within one window, over
+    ``tables`` as ``tabulate`` returns them (delay -> TrialTable).
 
     WRITE pools counts across all delay settings (the mechanics are
     reinitialized before each write); READ uses only the table matching
     ``delta_t_ns`` (delayed heating makes the read state delay-dependent).
     """
-    if isinstance(tables, TrialTable):
-        tables = {tables.delta_t_ns: tables}
     if window == "WRITE":
         use = list(tables.values())
     elif window == "READ":

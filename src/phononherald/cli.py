@@ -187,7 +187,7 @@ def cmd_analyze(args) -> int:
 def _thermometry(cfg, pulses):
     if pulses <= 0:
         raise config_mod.ConfigError(f"pulses: {pulses} must be > 0")
-    result = protocol.simulate_thermometry(cfg, pulses, cfg.seed)
+    result = protocol.simulate_thermometry(cfg, pulses)
     return result, analysis.sideband_occupancy(
         result.clicks_red, result.clicks_blue, result.pulses_per_color,
         result.background_click_prob)
@@ -315,6 +315,12 @@ def cmd_calibrate_heating(args) -> int:
     return EXIT_OK
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phononherald",
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tag-stream path")
     p.add_argument("--delta-t-ns", type=float, nargs="+",
                    help="override write->read delays (ns)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="correlation analysis of a tag stream")
@@ -359,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--figure", required=True, choices=sorted(_FIGURES))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("calibrate-heating", help="fit the heating amplitude")

@@ -124,8 +124,7 @@ def fnv1a64(text: str) -> int:
 
 _UNIT_FIELDS = {
     "chain.eta_fc", "chain.eta_c", "chain.eta_path1", "chain.eta_path2",
-    "chain.eta_qe1", "chain.eta_qe2", "chain.leak_fraction",
-    "protocol.p_pair", "protocol.eps_read",
+    "chain.eta_qe1", "chain.eta_qe2", "protocol.p_pair", "protocol.eps_read",
 }
 _POSITIVE_FIELDS = {
     "device.omega_m_ghz", "device.kappa_c_ghz", "device.g0_khz",
@@ -180,6 +179,18 @@ def check(config: ExperimentConfig) -> None:
         value = getattr(getattr(config, section), name)
         if value < 0:
             errors.append(f"{path}: {value} must be >= 0")
+    chain = config.chain
+    if not 0.0 <= chain.leak_fraction < 1.0:  # leak mean ~ f / (1 - f)
+        errors.append(f"chain.leak_fraction: {chain.leak_fraction} outside [0, 1)")
+    e1, e2 = chain.detector_efficiency(1), chain.detector_efficiency(2)
+    if e1 + e2 > 1.0:  # the two detectors split one optical mode
+        errors.append(f"chain.eta_path1, chain.eta_path2: detector efficiencies "
+                      f"{e1} + {e2} exceed 1")
+    for window in ("window_write_ns", "window_read_ns"):
+        dark = chain.dark_prob(getattr(chain, window))
+        if dark >= 1.0:
+            errors.append(f"chain.dark_rate_hz: dark-count probability {dark} "
+                          f"in chain.{window} must be < 1")
     dts = config.protocol.delta_t_list_ns
     if len(dts) == 0:
         errors.append("protocol.delta_t_list_ns: must be non-empty")
@@ -193,12 +204,6 @@ def check(config: ExperimentConfig) -> None:
         errors.append(f"numerics.leak_tol: {config.numerics.leak_tol} outside (0, 1]")
     if not 0 <= config.seed < 2 ** 64:
         errors.append(f"seed: {config.seed} outside unsigned 64-bit range")
-    # truncation safety of the initial pair-generation step
-    top = config.protocol.p_pair * (1.0 + config.heating.n_base)
-    if top > 0.5:
-        errors.append(
-            f"protocol.p_pair: p_pair*(1+n_base)={top:.3f} too large for the "
-            f"truncated simulation")
     if errors:
         raise ConfigError("; ".join(sorted(errors)))
 

@@ -183,8 +183,8 @@ def _apply_unitary(state: TwoModeFockState, generator: np.ndarray) -> TwoModeFoc
     return TwoModeFockState(rho, state.n_max, state.leak_tol)
 
 
-def two_mode_squeeze(state: TwoModeFockState, r: float, phase: float = 0.0) -> TwoModeFockState:
-    """Apply U = exp[r (e^{i phase} a_A^dag a_B^dag - h.c.)]."""
+def two_mode_squeeze(state: TwoModeFockState, r: float) -> TwoModeFockState:
+    """Apply U = exp[r (a_A^dag a_B^dag - h.c.)]."""
     if r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     if r == 0:
@@ -192,12 +192,11 @@ def two_mode_squeeze(state: TwoModeFockState, r: float, phase: float = 0.0) -> T
     a = destroy(state.n_max)
     eye = np.eye(state.dim)
     ab = np.kron(a, eye) @ np.kron(eye, a)
-    g = r * (np.exp(1j * phase) * ab.conj().T - np.exp(-1j * phase) * ab)
+    g = r * (ab.conj().T - ab)
     return _apply_unitary(state, g)
 
 
-def beam_splitter(state: TwoModeFockState, transmittance: float,
-                  phase: float = 0.0) -> TwoModeFockState:
+def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockState:
     """Two-mode rotation that swaps a fraction ``transmittance`` of mode A
     into mode B (and vice versa): at transmittance 1 the modes exchange.
     """
@@ -209,7 +208,7 @@ def beam_splitter(state: TwoModeFockState, transmittance: float,
     a = destroy(state.n_max)
     eye = np.eye(state.dim)
     cross = np.kron(a.conj().T, eye) @ np.kron(eye, a)
-    g = theta * (np.exp(1j * phase) * cross - np.exp(-1j * phase) * cross.conj().T)
+    g = theta * (cross - cross.conj().T)
     return _apply_unitary(state, g)
 
 

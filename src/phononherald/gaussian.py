@@ -3,8 +3,8 @@
 Quadrature ordering is (x_1, p_1, x_2, p_2, ...) with the vacuum at
 cov = I/2. Second moments evolve under thermal / squeezing /
 beam-splitter / loss / additive-noise channels and give exact mean
-occupations and vacuum (no-click) probabilities; the outcome tables of
-``protocol`` are built from them.
+occupations and the vacuum (no-click) probabilities of lossy mode subsets,
+the one quantity the click tables of ``protocol`` are built from.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ def _embed(n_modes: int, block: np.ndarray, modes) -> np.ndarray:
     return s
 
 
-def _rot(phi: float) -> np.ndarray:
-    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-
-
 def apply_symplectic(state: CovarianceState, s: np.ndarray) -> CovarianceState:
     return CovarianceState(s @ state.cov @ s.T)
 
@@ -87,21 +83,21 @@ def set_thermal(state: CovarianceState, mode: int, n_bar: float) -> CovarianceSt
 
 
 def two_mode_squeeze(state: CovarianceState, mode_a: int, mode_b: int,
-                     r: float, phase: float = 0.0) -> CovarianceState:
+                     r: float) -> CovarianceState:
     c, s = np.cosh(r), np.sinh(r)
-    # a -> cosh r * a + e^{i phase} sinh r * b^dag
-    mix = s * (_rot(phase) @ np.diag([1.0, -1.0]))
+    # a -> cosh r * a + sinh r * b^dag
+    mix = s * np.diag([1.0, -1.0])
     block = np.block([[c * np.eye(2), mix], [mix.T, c * np.eye(2)]])
     return apply_symplectic(state, _embed(state.n_modes, block, [mode_a, mode_b]))
 
 
 def beam_splitter(state: CovarianceState, mode_a: int, mode_b: int,
-                  transmittance: float, phase: float = 0.0) -> CovarianceState:
+                  transmittance: float) -> CovarianceState:
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     theta = np.arcsin(np.sqrt(transmittance))
     c, s = np.cos(theta), np.sin(theta)
-    mix = s * _rot(phase)
+    mix = s * np.eye(2)
     block = np.block([[c * np.eye(2), mix], [-mix.T, c * np.eye(2)]])
     return apply_symplectic(state, _embed(state.n_modes, block, [mode_a, mode_b]))
 
@@ -126,39 +122,19 @@ def add_noise(state: CovarianceState, mode: int, delta_n: float) -> CovarianceSt
     return CovarianceState(cov)
 
 
-def _lossy_block(state: CovarianceState, modes, etas):
-    """Per-quadrature sqrt transmissivities ``root`` (k, 2m), one row per row
-    of ``etas`` (k, m), and x = root (cov - I/2) root, so that the lossy
-    covariance of ``modes`` plus I/2 is I + x."""
+def log_vacuum_probability(state: CovarianceState, modes, etas) -> np.ndarray:
+    """log P(``modes`` all in vacuum after loss ``etas[j]``), one per row j.
+
+    Loss eta turns the vacuum projection into the no-click POVM (1 - eta)^n
+    of a threshold detector. With root the per-quadrature sqrt(eta), the
+    lossy covariance plus I/2 is I + x, x = root (cov - I/2) root, and
+    P = det(I + x)^(-1/2) is summed from log1p of the eigenvalues of the
+    symmetric x, so log P stays accurate near P = 1.
+    """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if etas.min() < 0.0 or etas.max() > 1.0:
         raise ValueError("efficiencies must lie in [0, 1]")
     root = np.sqrt(np.repeat(etas, 2, axis=1))
     sub = state._submatrix(modes) - 0.5 * np.eye(2 * len(modes))
-    return root, root[:, :, None] * sub * root[:, None, :]
-
-
-def log_vacuum_probability(state: CovarianceState, modes, etas) -> np.ndarray:
-    """log P(``modes`` all in vacuum after loss ``etas[j]``), one per row j.
-
-    Loss eta turns the vacuum projection into the no-click POVM (1 - eta)^n
-    of a threshold detector. P = det(I + x)^(-1/2) is summed from log1p of
-    the eigenvalues of the symmetric x, so log P stays accurate near P = 1.
-    """
-    _, x = _lossy_block(state, modes, etas)
+    x = root[:, :, None] * sub * root[:, None, :]
     return -0.5 * np.log1p(np.linalg.eigvalsh(x)).sum(axis=1)
-
-
-def conditional_occupation(state: CovarianceState, mode: int, modes,
-                           etas) -> np.ndarray:
-    """Mean occupation of ``mode`` once ``modes`` are found in vacuum after
-    loss ``etas[j]``, one per row j: the trace of the Schur complement
-    cov_AA - cov_AB' (cov_B'B' + I/2)^-1 cov_B'A over the lossy modes B'."""
-    root, x = _lossy_block(state, modes, etas)
-    k = 2 * mode
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-    cross = state.cov[k:k + 2, idx][None, :, :] * root[:, None, :]
-    schur = state.cov[k:k + 2, k:k + 2] - cross @ np.linalg.solve(
-        x + np.eye(x.shape[1]), np.swapaxes(cross, 1, 2))
-    return 0.5 * np.trace(schur, axis1=1, axis2=2) - 0.5
-

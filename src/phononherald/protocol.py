@@ -17,7 +17,7 @@ embarrassingly parallel.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,16 +56,12 @@ class OutcomeTable:
     """Joint click-pattern distribution for one (config, delay) point.
 
     ``probs[w1*8 + w2*4 + r1*2 + r2]`` is the probability of the pattern.
-    ``herald_occupation_write`` / ``_read`` record the conditional
-    mechanical occupation for each write pattern before and after the
-    rethermalization step (bookkeeping for diagnostics and tests).
+    The table holds click probabilities only: every statistic the pipeline
+    reports (g2, the Cauchy-Schwarz bound) is built from click patterns.
     """
 
     delta_t_ns: float
     probs: np.ndarray
-    write_pattern_probs: np.ndarray
-    herald_occupation_write: np.ndarray
-    herald_occupation_read: np.ndarray
 
     def __post_init__(self):
         total = float(self.probs.sum())
@@ -132,13 +128,7 @@ def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeT
     # as small as ~1e-13: sum their complements (click rows sum to 0)
     joint = PATTERN_FROM_SILENT @ np.expm1(log_silent) @ PATTERN_FROM_SILENT.T
     joint[0, 0] = np.exp(log_silent[3, 3])
-    weights = joint.sum(axis=1)
-
-    # E[n_mech ; write subset silent] = P(silent) * E[n_mech | silent]
-    n_silent = gaussian.conditional_occupation(written, 0, (1,), eta_w[:, None])
-    occ_write = PATTERN_FROM_SILENT @ (np.exp(log_silent[:, 0]) * n_silent) / weights
-    return OutcomeTable(delta_t_ns, joint.ravel(), weights, occ_write,
-                        occ_write + delta_n)
+    return OutcomeTable(delta_t_ns, joint.ravel())
 
 
 def _trial_layout(config: ExperimentConfig, trials_per_setting: int):
@@ -181,16 +171,15 @@ def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
 
 
 def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
-                  seed=None, threads: int = 1) -> tags.TagStream:
+                  threads: int = 1) -> tags.TagStream:
     """Draw one click pattern per trial and emit a sorted tag stream.
 
-    Identical (config, seed) produce byte-identical streams for any number
-    of threads: every variate is a pure function of (seed, trial_index).
+    Identical configs produce byte-identical streams for any number of
+    threads: every variate is a pure function of (config.seed, trial_index),
+    the seed that the header's config hash covers.
     """
     if trials_per_setting is None:
         trials_per_setting = config.protocol.trials
-    if seed is None:
-        seed = config.seed
     layout = _trial_layout(config, trials_per_setting)
     if len(tables) != len(layout):
         raise ValueError("one outcome table per delta_t setting required")
@@ -205,7 +194,7 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
 
     def run(job):
         table, start, stop = job
-        return _sample_chunk(table, config, seed, start, stop)
+        return _sample_chunk(table, config, config.seed, start, stop)
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -262,8 +251,7 @@ def _sideband_click_probs(config: ExperimentConfig, strength: float,
             for n_bar in (strength * (1.0 + n_base), strength * n_base)]
 
 
-def simulate_thermometry(config: ExperimentConfig, pulses: int,
-                         seed=None) -> ThermometryResult:
+def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryResult:
     """Alternating blue/red pulse trains at the baseline occupation.
 
     Blue pulses run the two-mode-squeezing (Stokes) interaction, red pulses
@@ -272,8 +260,6 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int,
     """
     if pulses <= 0:
         raise ValueError(f"pulses must be > 0, got {pulses}")
-    if seed is None:
-        seed = config.seed
     per_color = pulses // 2
     p_blue, p_red = _sideband_click_probs(config, config.protocol.p_pair)
     p_blue_ideal, p_red_ideal = _sideband_click_probs(
@@ -282,7 +268,7 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int,
 
     def count_clicks(p_silent, offset):
         end = offset + per_color
-        return sum(_clicked_trials(p_silent, seed, start,
+        return sum(_clicked_trials(p_silent, config.seed, start,
                                    min(start + SAMPLE_CHUNK, end))[0].size
                    for start in range(offset, end, SAMPLE_CHUNK))
 
@@ -302,10 +288,7 @@ def simulate_pump_probe(config: ExperimentConfig, pump_heat_amplitude: float,
     Linearized anti-Stokes model: C_R = alpha * n_m(delta_t) + C_leak, with
     alpha set by the read transfer efficiency and the detector chain.
     """
-    heat = config.heating.__class__(
-        n_base=config.heating.n_base, a_heat=pump_heat_amplitude,
-        tau_rise_us=config.heating.tau_rise_us,
-        t_decay_us=config.heating.t_decay_us)
+    heat = replace(config.heating, a_heat=pump_heat_amplitude)
     chain = config.chain
     eta_sum = chain.detector_efficiency(1) + chain.detector_efficiency(2)
     alpha = config.protocol.eps_read * eta_sum

@@ -90,7 +90,7 @@ def test_criterion_2_analytic_statistics():
 def test_criterion_3_thermometry():
     t0 = time.time()
     cfg = C.default_config()
-    result = protocol.simulate_thermometry(cfg, 2_000_000, cfg.seed)
+    result = protocol.simulate_thermometry(cfg, 2_000_000)
     occ = A.sideband_occupancy(result.clicks_red, result.clicks_blue,
                                result.pulses_per_color,
                                result.background_click_prob)

@@ -138,6 +138,42 @@ class TestExitCodes:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("chain,argv", [
+        ('{"leak_fraction": 1.0}', ["simulate", "--out", "x.tags"]),
+        ('{"leak_fraction": 1.0}', ["thermometry", "--out", "t.json"]),
+        ('{"leak_fraction": 1.0}', ["reproduce", "--figure", "fig3c", "--out", "figs"]),
+        ('{"leak_fraction": 1.0}', ["reproduce", "--figure", "m3", "--out", "figs"]),
+        ('{"eta_path1": 0.9, "eta_path2": 0.9, "eta_c": 1.0, "eta_fc": 1.0}',
+         ["simulate", "--out", "x.tags"]),
+        ('{"dark_rate_hz": 1e8}', ["thermometry", "--out", "t.json"]),
+    ], ids=["leak-simulate", "leak-thermometry", "leak-fig3c", "leak-m3",
+            "efficiency-sum", "dark-probability"])
+    def test_detection_chain_gap_is_2(self, tmp_path, monkeypatch, capsys, chain,
+                                      argv):
+        # each reaches config.check, which names the field, before any
+        # stage divides by 1 - leak_fraction or builds a detector model
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(f'{{"chain": {chain}}}')
+        assert run(argv + ["--config", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: chain." in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "x.tags"],
+        ["reproduce", "--figure", "fig3c", "--out", "figs"],
+    ], ids=["simulate", "reproduce"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_2(self, tmp_path, monkeypatch, capsys, argv,
+                                      threads):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: expected an integer >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_format_error_is_4(self, tmp_path, fast_config_path):
         corrupt = tmp_path / "corrupt.tags"
         corrupt.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNKJUNK")

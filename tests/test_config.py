@@ -99,11 +99,42 @@ def test_delta_t_list_must_ascend():
         C.check(bad)
 
 
-def test_truncation_unsafe_pair_rate_rejected():
+def test_high_pair_rate_accepted():
+    # p_pair*(1+n_base) > 0.5 only strains the truncated Fock oracle, which
+    # raises its own TruncationError; the closed-form tables handle it
+    from phononherald import protocol
     cfg = C.default_config()
-    bad = cfg.replace(protocol=dataclasses.replace(cfg.protocol, p_pair=0.9))
-    with pytest.raises(C.ConfigError, match="p_pair"):
+    for p_pair, n_base in ((0.9, 0.025), (0.3, 2.0), (1.0, 2.0)):
+        high = cfg.replace(
+            protocol=dataclasses.replace(cfg.protocol, p_pair=p_pair),
+            heating=dataclasses.replace(cfg.heating, n_base=n_base))
+        C.check(high)
+        table = protocol.build_outcome_table(high, 100.0)
+        assert table.probs.sum() == pytest.approx(1.0, abs=protocol.PROB_SUM_TOL)
+
+
+@pytest.mark.parametrize("chain_fields,fragment", [
+    ({"leak_fraction": 1.0}, "chain.leak_fraction: 1.0 outside [0, 1)"),
+    ({"eta_c": 1.0, "eta_fc": 1.0, "eta_qe1": 1.0, "eta_qe2": 1.0,
+      "eta_path1": 0.6, "eta_path2": 0.5}, "chain.eta_path1, chain.eta_path2"),
+    ({"dark_rate_hz": 2e7}, "chain.window_read_ns must be < 1"),  # 55 ns, not 40
+    ({"dark_rate_hz": 3e7}, "chain.window_write_ns must be < 1"),
+], ids=["leak-fraction-1", "efficiency-sum", "dark-read-window", "dark-both-windows"])
+def test_detection_chain_gaps_rejected(chain_fields, fragment):
+    cfg = C.default_config()
+    bad = cfg.replace(chain=dataclasses.replace(cfg.chain, **chain_fields))
+    with pytest.raises(C.ConfigError) as exc:
         C.check(bad)
+    assert fragment in str(exc.value)
+
+
+def test_detection_chain_edges_accepted():
+    # the limits themselves are physical: a leak share just below 1, two
+    # detectors that together catch every photon
+    cfg = C.default_config()
+    C.check(cfg.replace(chain=dataclasses.replace(
+        cfg.chain, leak_fraction=0.999, eta_c=1.0, eta_fc=1.0, eta_qe1=1.0,
+        eta_qe2=1.0, eta_path1=0.5, eta_path2=0.5)))
 
 
 def test_canonical_json_is_sorted_and_compact():

@@ -53,7 +53,7 @@ class TestOperations:
         assert state.mean_occupation(1) == pytest.approx(np.sinh(r) ** 2)
 
     def test_squeeze_is_symplectic(self):
-        state = G.two_mode_squeeze(G.CovarianceState.vacuum(2), 0, 1, 0.3, 0.7)
+        state = G.two_mode_squeeze(G.CovarianceState.vacuum(2), 0, 1, 0.3)
         # pure states keep det(2 cov) = 1
         assert np.linalg.det(2.0 * state.cov) == pytest.approx(1.0, abs=1e-10)
 

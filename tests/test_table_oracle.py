@@ -37,20 +37,14 @@ def fock_outcome_table(config, delta_t_ns, n_max=None):
     q_read = F.pair_click_matrix(
         n_max, *protocol._window_detectors(config, config.chain.window_read_ns))
 
-    ns = np.arange(n_max + 1)
     probs = np.empty(16)
-    occ_write = np.empty(4)
-    occ_read = np.empty(4)
     for wp, (rho_c, w) in enumerate(zip(cond, weights)):
-        rho_m = rho_c / w
-        occ_write[wp] = float(np.real(np.diag(rho_m)) @ ns)
-        rho_m = F.add_thermal_noise(rho_m, delta_n)
-        occ_read[wp] = float(np.real(np.diag(rho_m)) @ ns)
+        rho_m = F.add_thermal_noise(rho_c / w, delta_n)
         pair = F.TwoModeFockState.from_single_modes(rho_m, F.vacuum_rho(n_max), leak_tol)
         pair = F.beam_splitter(pair, proto.eps_read)
         read_marginal = pair.joint_number_distribution().sum(axis=0)
         probs[wp * 4: wp * 4 + 4] = w * (q_read @ read_marginal)
-    return protocol.OutcomeTable(delta_t_ns, probs, weights, occ_write, occ_read)
+    return protocol.OutcomeTable(delta_t_ns, probs)
 
 
 # The oracle runs at the shipped cutoff n_max 16 on the default config. The
@@ -64,7 +58,6 @@ ORACLE_N_MAX = {"default_config": 16, "fast_config": 20, "read_heat_config": 20}
 # implied statistics, dominated by multi-click patterns, to 1e-8 relative.
 PATTERN_ABS_TOL = 1e-14
 IMPLIED_REL_TOL = 1e-8
-MARGINAL_ABS_TOL = 1e-8
 
 
 @pytest.fixture
@@ -85,10 +78,6 @@ def test_closed_form_matches_fock_oracle(request, config_name, delta_t_ns):
                  "g2_auto_read_implied", "classical_bound_implied"):
         assert getattr(got, name)() == pytest.approx(
             getattr(want, name)(), rel=IMPLIED_REL_TOL), name
-    for name in ("write_pattern_probs", "herald_occupation_write",
-                 "herald_occupation_read"):
-        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                   rtol=0, atol=MARGINAL_ABS_TOL, err_msg=name)
 
 
 def test_thermometry_probs_match_fock_oracle(default_config):
@@ -114,7 +103,7 @@ def test_thermometry_probs_match_fock_oracle(default_config):
 
 @settings(max_examples=60, deadline=None)
 @given(eta_path1=st.floats(1e-4, 0.5), eta_path2=st.floats(1e-4, 0.5),
-       p_pair=st.floats(1e-4, 0.45), eps_read=st.floats(0.0, 1.0),
+       p_pair=st.floats(1e-4, 1.0), eps_read=st.floats(0.0, 1.0),
        a_heat=st.floats(0.0, 5.0), delta_t_ns=st.sampled_from([0.0, 100.0, 1500.0]))
 def test_table_guard_holds(eta_path1, eta_path2, p_pair, eps_read, a_heat,
                            delta_t_ns):
