@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tags
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .protocol import read_window_start_ps
 
 TAIL_MASS = 0.16
@@ -123,7 +123,7 @@ def _coincidences(a: np.ndarray, b: np.ndarray, offset: int = 0) -> int:
 
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
-             trials_per_setting=None, read_window_ns=None) -> dict[float, TrialTable]:
+             read_window_ns=None) -> dict[float, TrialTable]:
     """Assign every record to its (setting, trial, window, detector) cell.
 
     ``read_window_ns`` trims the read evaluation window post hoc (e.g.
@@ -132,8 +132,7 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     their labelled window are format errors. The tables depend neither on
     the record order nor on repeated records.
     """
-    if trials_per_setting is None:
-        trials_per_setting = config.protocol.trials
+    trials_per_setting = config.protocol.trials
     settings = list(config.protocol.delta_t_list_ns)
     expected = trials_per_setting * len(settings)
     if stream.trial_count != expected:
@@ -142,8 +141,8 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     full_read_ns = config.chain.window_read_ns
     trim_ns = full_read_ns if read_window_ns is None else float(read_window_ns)
     if not 0 < trim_ns <= full_read_ns:
-        raise ValueError(
-            f"read window {trim_ns} ns outside (0, {full_read_ns}] ns")
+        raise ConfigError(
+            f"read-window-ns: {trim_ns} outside (0, {full_read_ns}]")
     write_len = int(round(config.chain.window_write_ns * 1000.0))
 
     out = {}

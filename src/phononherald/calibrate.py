@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .protocol import build_outcome_table
 
 A_HEAT_BOUNDS = (0.0, 5.0)
@@ -38,11 +38,11 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     """
     targets = list(targets)
     if not targets:
-        raise ValueError("need at least one target point")
+        raise ConfigError("calibration target: need at least one point")
     delta_ts = np.array([p[0] for p in targets], dtype=float)
     g_target = np.array([p[1] for p in targets], dtype=float)
     if not (np.isfinite(delta_ts).all() and np.isfinite(g_target).all()):
-        raise ValueError("target points must be finite")
+        raise ConfigError("calibration target: points must be finite")
 
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))

@@ -98,7 +98,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _analyze_tables(cfg, trial_tables, delta_n_max):
+def _analyze_tables(trial_tables, delta_n_max):
     results = []
     for delta_t, table in trial_tables.items():
         entry = {"delta_t_ns": delta_t, "counters": table.counters()}
@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
             f"config {cfg.config_hash():016x} (stream/config drift)")
     trial_tables = analysis.tabulate(stream, cfg,
                                      read_window_ns=args.read_window_ns)
-    results = _analyze_tables(cfg, trial_tables, args.delta_n)
+    results = _analyze_tables(trial_tables, args.delta_n)
     out_dir = Path(args.out)
     csv_path, json_path = _write_analysis_outputs(results, out_dir)
     _write_manifest(_manifest(cfg, "analyze", args, [args.stream],
@@ -207,7 +207,7 @@ def cmd_thermometry(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2) + "\n")
+    out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     _write_manifest(_manifest(cfg, "thermometry", args,
                               [args.config or "<defaults>"], [out]), out)
     return EXIT_OK
@@ -232,7 +232,7 @@ def _reproduce_fig3b(cfg, args, out_dir: Path):
     table = protocol.build_outcome_table(cfg, 100.0)
     stream = protocol.sample_trials(cfg, [table], threads=args.threads)
     trial_tables = analysis.tabulate(stream, cfg)
-    entry = _analyze_tables(cfg, trial_tables, delta_n_max=10)[0]
+    entry = _analyze_tables(trial_tables, delta_n_max=10)[0]
     if "error" in entry:
         raise analysis.EstimatorError(f"fig3b at 100 ns: {entry['error']}")
     cross, bound = entry["cross"], entry["bound"]
@@ -297,15 +297,14 @@ def cmd_reproduce(args) -> int:
 
 def cmd_calibrate_heating(args) -> int:
     cfg = _load_config(args)
-    targets = []
-    with open(args.target, newline="") as fh:
-        for n, row in enumerate(csv.DictReader(fh), start=1):
-            try:
-                targets.append((float(row["delta_t_ns"]), float(row["g2_om"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise config_mod.ConfigError(
-                    f"{args.target} row {n}: need numeric delta_t_ns and g2_om "
-                    f"columns") from exc
+    try:
+        with open(args.target, newline="") as fh:
+            reader = csv.DictReader(fh)
+            targets = [(float(row["delta_t_ns"]), float(row["g2_om"])) for row in reader]
+    except (KeyError, TypeError, ValueError) as exc:  # UnicodeDecodeError too
+        raise config_mod.ConfigError(
+            f"{args.target} line {reader.line_num}: need numeric delta_t_ns and "
+            f"g2_om columns ({exc})") from exc
     a_heat = calibrate.calibrate_a_heat(cfg, targets)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -383,7 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (config_mod.ConfigError, ValueError) as exc:
+    except config_mod.ConfigError as exc:
         log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

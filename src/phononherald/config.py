@@ -256,7 +256,7 @@ def load(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return from_dict(data)
 

@@ -1,47 +1,18 @@
-"""Threshold (click / no-click) detector models.
+"""Threshold (click / no-click) detector model.
 
 SNSPD-style detectors: a mode with n photons produces a click with
 probability 1 - (1-eta)^n, independently convolved with dark counts
 (per-window probability) and Poissonian leaked pump photons (mean photon
 number per pulse reaching the detector, thinned by the same efficiency).
+Two detectors split one optical mode, so their efficiencies, which fold in
+the split ratio, sum to at most 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """One threshold detector.
-
-    efficiency: per-photon detection probability for photons in the
-        monitored mode. When two detectors share one mode behind a
-        beam-splitter, the split ratio is folded into each efficiency.
-    dark_prob: probability of at least one dark count in the window.
-    leak_mean: mean leaked pump photons reaching this detector per pulse.
-    """
-
-    efficiency: float
-    dark_prob: float = 0.0
-    leak_mean: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob {self.dark_prob} outside [0, 1)")
-        if self.leak_mean < 0.0:
-            raise ValueError(f"leak_mean {self.leak_mean} must be >= 0")
-
-    @property
-    def background_log_silent_prob(self) -> float:
-        """log P(neither dark counts nor leak produce a click), kept as a log
-        to stay accurate while the probability is close to 1."""
-        return float(np.log1p(-self.dark_prob)) - self.efficiency * self.leak_mean
-
+from .config import ExperimentConfig
 
 # P(pattern 2*click1 + click2) = PATTERN_FROM_SILENT @ P(subset silent), with
 # the silent subsets ordered {}, {1}, {2}, {1, 2} (inclusion-exclusion)
@@ -53,17 +24,26 @@ PATTERN_FROM_SILENT = np.array([
 ])
 
 
-def silent_subsets(det1: DetectorModel, det2: DetectorModel):
-    """Summed efficiency and log background-silent factor of each subset.
+def silent_subsets(config: ExperimentConfig, window_ns: float):
+    """Summed efficiency and log background-silent factor of each subset of
+    the chain's two detectors in a window of ``window_ns``.
 
     Returns (eta, log_b), each of length 4 in PATTERN_FROM_SILENT order.
     Every detector in a subset S stays silent with probability
-    exp(log_b[S]) * (1 - eta[S])^n given n photons in the mode.
+    exp(log_b[S]) * (1 - eta[S])^n given n photons in the mode; log_b is
+    kept as a log to stay accurate while the probability is close to 1.
     """
-    e1, e2 = det1.efficiency, det2.efficiency
-    if e1 + e2 > 1.0 + 1e-12:
-        raise ValueError(f"combined efficiencies {e1}+{e2} exceed 1")
-    l1, l2 = det1.background_log_silent_prob, det2.background_log_silent_prob
+    chain = config.chain
+    e1, e2 = chain.detector_efficiency(1), chain.detector_efficiency(2)
+    dark = chain.dark_prob(window_ns)
+    leak = chain.leak_mean_photons(config.protocol.p_pair)
+    # written so that NaN fails too: callers may pass unchecked configs
+    if not (0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0 and e1 + e2 <= 1.0 + 1e-12
+            and 0.0 <= dark < 1.0 and leak >= 0.0):
+        raise ValueError(f"detector model out of range: efficiencies {e1}, {e2} "
+                         f"(each in [0, 1], sum <= 1), dark probability {dark} "
+                         f"(in [0, 1)), leak mean {leak} (>= 0)")
+    log_dark = float(np.log1p(-dark))
+    l1, l2 = log_dark - e1 * leak, log_dark - e2 * leak
     return (np.array([0.0, e1, e2, min(e1 + e2, 1.0)]),
             np.array([0.0, l1, l2, l1 + l2]))
-

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import binom, xlog1py
 
-from .detection import PATTERN_FROM_SILENT, DetectorModel, silent_subsets
+from .detection import PATTERN_FROM_SILENT
 
 DEFAULT_N_MAX = 8
 DEFAULT_LEAK_TOL = 1e-8
@@ -318,15 +318,13 @@ def add_thermal_noise(rho: np.ndarray, delta_n: float) -> np.ndarray:
     return amplified.reduced("A")
 
 
-def pair_click_matrix(n_max: int, det1: DetectorModel, det2: DetectorModel) -> np.ndarray:
+def pair_click_matrix(n_max: int, eta: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """Joint click POVM for two detectors watching one mode.
 
-    Returns a (4, n_max+1) array q[pattern, n] with pattern index
-    2*click1 + click2. Each photon independently reaches detector 1 with
-    probability det1.efficiency, detector 2 with det2.efficiency
-    (efficiencies include the splitting ratio, so their sum must be <= 1).
+    ``eta`` and ``log_b`` are the silent-subset efficiencies and log
+    background factors of ``detection.silent_subsets``. Returns a
+    (4, n_max+1) array q[pattern, n] with pattern index 2*click1 + click2.
     """
-    eta, log_b = silent_subsets(det1, det2)
     log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
     # click patterns are alternating sums of silent probabilities near 1:
     # sum their complements, which keep full relative accuracy

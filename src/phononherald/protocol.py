@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gaussian, rng, tags
 from .config import ExperimentConfig
-from .detection import PATTERN_FROM_SILENT, DetectorModel, silent_subsets
+from .detection import PATTERN_FROM_SILENT, silent_subsets
 
 PROB_SUM_TOL = 1e-9
 SAMPLE_CHUNK = 1_000_000
@@ -43,14 +43,6 @@ def heating_occupation(delta_t_ns: float, heating) -> float:
     return heating.n_base + heating.a_heat * rise * decay
 
 
-def _window_detectors(config: ExperimentConfig, window_ns: float) -> tuple[DetectorModel, DetectorModel]:
-    chain = config.chain
-    leak = chain.leak_mean_photons(config.protocol.p_pair)
-    dark = chain.dark_prob(window_ns)
-    return (DetectorModel(chain.detector_efficiency(1), dark, leak),
-            DetectorModel(chain.detector_efficiency(2), dark, leak))
-
-
 @dataclass(frozen=True)
 class OutcomeTable:
     """Joint click-pattern distribution for one (config, delay) point.
@@ -65,7 +57,8 @@ class OutcomeTable:
 
     def __post_init__(self):
         total = float(self.probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL or self.probs.min() < -1e-15:
+        # written so that any NaN or infinite entry fails as well
+        if not (abs(total - 1.0) <= PROB_SUM_TOL and self.probs.min() >= -1e-15):
             raise ValueError(f"outcome table sums to {total}, not 1")
 
     def _marginal(self, mask_fn) -> float:
@@ -119,8 +112,8 @@ def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeT
     heated = gaussian.add_noise(written, 0, delta_n)
     read = gaussian.beam_splitter(heated, 0, 2, proto.eps_read)
 
-    eta_w, log_b_w = silent_subsets(*_window_detectors(config, config.chain.window_write_ns))
-    eta_r, log_b_r = silent_subsets(*_window_detectors(config, config.chain.window_read_ns))
+    eta_w, log_b_w = silent_subsets(config, config.chain.window_write_ns)
+    eta_r, log_b_r = silent_subsets(config, config.chain.window_read_ns)
     etas = np.stack(np.meshgrid(eta_w, eta_r, indexing="ij"), axis=-1).reshape(16, 2)
     log_silent = (gaussian.log_vacuum_probability(read, (1, 2), etas).reshape(4, 4)
                   + np.add.outer(log_b_w, log_b_r))
@@ -213,7 +206,7 @@ class ThermometryResult:
     clicks_blue: int
     clicks_red: int
     background_click_prob: float
-    ideal_asymmetry: float
+    ideal_asymmetry: float | None
 
     @property
     def rate_blue(self) -> float:
@@ -232,53 +225,47 @@ class ThermometryResult:
         return max(self.rate_red - self.background_click_prob, 0.0)
 
 
-def _sideband_click_probs(config: ExperimentConfig, strength: float,
-                          ideal: bool = False):
-    """Write-window click-pattern probabilities for a blue (Stokes) and a
-    red (anti-Stokes) pulse of equal interaction strength. Either leaves a
-    thermal optical mode, of occupation strength * (1 + n_base) or
-    strength * n_base, found in vacuum after loss eta with probability
-    1 / (1 + eta * n)."""
-    n_base = config.heating.n_base
-    if ideal:
-        chain = config.chain
-        dets = (DetectorModel(chain.detector_efficiency(1)),
-                DetectorModel(chain.detector_efficiency(2)))
-    else:
-        dets = _window_detectors(config, config.chain.window_write_ns)
-    eta, log_b = silent_subsets(*dets)
-    return [PATTERN_FROM_SILENT @ np.exp(log_b - np.log1p(eta * n_bar))
-            for n_bar in (strength * (1.0 + n_base), strength * n_base)]
+def _sideband_silent_prob(config: ExperimentConfig, n_bar: float) -> float:
+    """P(no write-window click) on a thermal optical mode of occupation
+    n_bar: the background-silent factor times the vacuum probability after
+    loss eta, 1 / (1 + eta * n_bar)."""
+    eta, log_b = silent_subsets(config, config.chain.window_write_ns)
+    return float(np.exp(log_b[3] - np.log1p(eta[3] * n_bar)))
 
 
 def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryResult:
     """Alternating blue/red pulse trains at the baseline occupation.
 
     Blue pulses run the two-mode-squeezing (Stokes) interaction, red pulses
-    the beam-splitter (anti-Stokes) interaction at the same strength, so
-    the ideal detected-rate asymmetry is (n+1)/n.
+    the beam-splitter (anti-Stokes) interaction at the same strength
+    p_pair, leaving a thermal optical mode of occupation
+    p_pair * (1 + n_base) or p_pair * n_base. The ideal detected-rate
+    asymmetry, (n+1)/n, is the click-probability ratio of the same chain
+    without dark counts or pump leak; it is None when the ideal red click
+    probability is 0 (n_base = 0). The background is the write-window click
+    probability of dark counts and leak alone.
     """
     if pulses <= 0:
         raise ValueError(f"pulses must be > 0, got {pulses}")
     per_color = pulses // 2
-    p_blue, p_red = _sideband_click_probs(config, config.protocol.p_pair)
-    p_blue_ideal, p_red_ideal = _sideband_click_probs(
-        config, config.protocol.p_pair, ideal=True)
-    ideal_asym = (1.0 - p_blue_ideal[0]) / (1.0 - p_red_ideal[0])
+    n_blue = config.protocol.p_pair * (1.0 + config.heating.n_base)
+    n_red = config.protocol.p_pair * config.heating.n_base
+    ideal = config.replace(chain=replace(config.chain, dark_rate_hz=0.0,
+                                         leak_fraction=0.0))
+    blue_ideal = 1.0 - _sideband_silent_prob(ideal, n_blue)
+    red_ideal = 1.0 - _sideband_silent_prob(ideal, n_red)
+    ideal_asym = blue_ideal / red_ideal if red_ideal > 0 else None
 
-    def count_clicks(p_silent, offset):
-        end = offset + per_color
+    def count_clicks(n_bar, offset):
+        p_silent, end = _sideband_silent_prob(config, n_bar), offset + per_color
         return sum(_clicked_trials(p_silent, config.seed, start,
                                    min(start + SAMPLE_CHUNK, end))[0].size
                    for start in range(offset, end, SAMPLE_CHUNK))
 
-    clicks_blue = count_clicks(p_blue[0], 0)
-    clicks_red = count_clicks(p_red[0], per_color)
-    det_w = _window_detectors(config, config.chain.window_write_ns)
-    background = -float(np.expm1(det_w[0].background_log_silent_prob
-                                 + det_w[1].background_log_silent_prob))
-    return ThermometryResult(per_color, clicks_blue, clicks_red,
-                             background, float(ideal_asym))
+    _, log_b = silent_subsets(config, config.chain.window_write_ns)
+    return ThermometryResult(per_color, count_clicks(n_blue, 0),
+                             count_clicks(n_red, per_color),
+                             -float(np.expm1(log_b[3])), ideal_asym)
 
 
 def simulate_pump_probe(config: ExperimentConfig, pump_heat_amplitude: float,

@@ -16,6 +16,7 @@ from phononherald import calibrate, cli, protocol, tags
 from phononherald import config as C
 from phononherald import fock as F
 from phononherald import gaussian as G
+from phononherald.detection import silent_subsets
 
 
 def report(num, label, ok, detail=""):
@@ -175,8 +176,7 @@ def test_criterion_7_heralded_state_chain():
     state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
     state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(cfg.protocol.p_pair)))
     g_om = F.g2_cross(state)
-    dets = protocol._window_detectors(cfg, cfg.chain.window_write_ns)
-    q = F.pair_click_matrix(n_max, *dets)
+    q = F.pair_click_matrix(n_max, *silent_subsets(cfg, cfg.chain.window_write_ns))
     cond = F.conditional_mech_states(state, q)
     heralded = cond[1] + cond[2] + cond[3]
     heralded = heralded / np.trace(heralded).real

@@ -11,6 +11,7 @@ from scipy.stats import beta, norm
 
 from phononherald import analysis as A
 from phononherald import protocol, tags
+from phononherald.config import ConfigError
 
 
 class TestBinomialCI:
@@ -66,6 +67,10 @@ def make_table(w1, w2, r1, r2, delta_t=100.0):
     return A.TrialTable(delta_t, len(w1), *channels)
 
 
+def with_trials(config, trials):
+    return config.replace(protocol=dataclasses.replace(config.protocol, trials=trials))
+
+
 class TestTabulate:
     def stream_for(self, config, entries, trials):
         recs = tags.make_records(
@@ -76,7 +81,7 @@ class TestTabulate:
         return tags.TagStream(config.config_hash(), trials, recs)
 
     def test_window_assignment(self, default_config):
-        cfg = default_config
+        cfg = with_trials(default_config, 10)
         rs = protocol.read_window_start_ps(cfg, 100.0)
         entries = [
             (0, 0, tags.WRITE_PULSE, 100),
@@ -84,37 +89,37 @@ class TestTabulate:
             (3, 1, tags.WRITE_PULSE, 39_999),
             (4, 0, tags.READ_PULSE, rs + 54_999),
         ]
-        table = A.tabulate(self.stream_for(cfg, entries, 10), cfg, 10)[100.0]
+        table = A.tabulate(self.stream_for(cfg, entries, 10), cfg)[100.0]
         c = table.counters()
         assert (c["N_W1"], c["N_W2"], c["N_R1"], c["N_R2"]) == (1, 1, 1, 1)
         assert c["N_WR"] == 1  # trial 0 has both a write and a read click
 
     def test_read_window_trim_drops_late_clicks(self, default_config):
-        cfg = default_config
+        cfg = with_trials(default_config, 10)
         rs = protocol.read_window_start_ps(cfg, 100.0)
         entries = [(0, 0, tags.READ_PULSE, rs + 10_000),
                    (1, 0, tags.READ_PULSE, rs + 45_000)]
         stream = self.stream_for(cfg, entries, 10)
-        full = A.tabulate(stream, cfg, 10)[100.0]
-        trimmed = A.tabulate(stream, cfg, 10, read_window_ns=30.0)[100.0]
+        full = A.tabulate(stream, cfg)[100.0]
+        trimmed = A.tabulate(stream, cfg, read_window_ns=30.0)[100.0]
         assert full.counters()["N_R1"] == 2
         assert trimmed.counters()["N_R1"] == 1
 
     def test_out_of_window_record_rejected(self, default_config):
-        cfg = default_config
+        cfg = with_trials(default_config, 10)
         entries = [(0, 0, tags.WRITE_PULSE, 41_000)]  # past the 40 ns window
         with pytest.raises(tags.TagFormatError, match="outside its labelled"):
-            A.tabulate(self.stream_for(cfg, entries, 10), cfg, 10)
+            A.tabulate(self.stream_for(cfg, entries, 10), cfg)
 
     def test_trial_count_mismatch_rejected(self, default_config):
         stream = self.stream_for(default_config, [], 10)
         with pytest.raises(tags.TagFormatError, match="implies"):
-            A.tabulate(stream, default_config, 99)
+            A.tabulate(stream, with_trials(default_config, 99))
 
     def test_invalid_trim_rejected(self, default_config):
         stream = self.stream_for(default_config, [], 10)
-        with pytest.raises(ValueError):
-            A.tabulate(stream, default_config, 10, read_window_ns=80.0)
+        with pytest.raises(ConfigError, match="read-window-ns"):
+            A.tabulate(stream, with_trials(default_config, 10), read_window_ns=80.0)
 
 
 class TestCorrelationEstimators:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from phononherald import calibrate
+from phononherald.config import ConfigError
 
 
 def test_recovers_known_amplitude(default_config):
@@ -36,5 +37,5 @@ def test_unreachable_target_raises(default_config):
 
 
 def test_empty_targets_rejected(default_config):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="at least one point"):
         calibrate.calibrate_a_heat(default_config, [])

@@ -26,17 +26,23 @@ def fast_config_path(tmp_path, fast_config):
     return path
 
 
-def loaded_modules(argv=()):
-    """Modules a fresh interpreter holds after importing the CLI and, when
-    ``argv`` is given, running it; also the exit code."""
+def fresh_env():
+    """Environment in which a fresh interpreter imports this phononherald."""
     src = str(Path(phononherald.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def loaded_modules(argv=()):
+    """Modules a fresh interpreter holds after importing the CLI and, when
+    ``argv`` is given, running it; also the exit code."""
     code = ("import json, sys, phononherald.cli as cli; "
             "argv = sys.argv[1:]; code = cli.main(argv) if argv else 0; "
             "print(json.dumps([code, sorted(sys.modules)]))")
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)
 
@@ -206,6 +212,28 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_read_window_outside_window_is_2(self, tmp_path, fast_config_path, capsys):
+        stream = tmp_path / "run.tags"
+        assert run(["simulate", "--config", fast_config_path, "--out", stream,
+                    "--trials", 1000]) == 0
+        assert run(["analyze", stream, "--config", fast_config_path,
+                    "--out", tmp_path / "o", "--trials", 1000,
+                    "--read-window-ns", 80]) == 2
+        err = capsys.readouterr().err
+        assert "config error: read-window-ns" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # a broken invariant inside a stage surfaces as itself, not as exit 2
+        def broken(*args, **kwargs):
+            raise ValueError("internal invariant")
+        monkeypatch.setattr(cli.protocol, "build_outcome_table", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            run(["reproduce", "--figure", "fig3c", "--out", tmp_path / "figs"])
+        assert "config error" not in capsys.readouterr().err
+
     def test_missing_file_is_4(self, tmp_path):
         assert run(["analyze", tmp_path / "nope.tags",
                     "--out", tmp_path / "o"]) == 4
@@ -233,6 +261,24 @@ class TestThermometryCommand:
         report = json.loads(out.read_text())
         assert report["ideal_asymmetry"] > 40
         assert report["n_th"]["value"] >= 0.0
+
+    def test_zero_base_occupation_is_strict_json(self, tmp_path):
+        # with n_base = 0 the ideal red click probability is 0: the ideal
+        # asymmetry is written as null, without a numeric warning
+        cfg = tmp_path / "cold.json"
+        cfg.write_text('{"heating": {"n_base": 0.0}}')
+        out = tmp_path / "therm.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "phononherald.cli", "thermometry", "--config",
+             str(cfg), "--pulses", "200000", "--out", str(out)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["ideal_asymmetry"] is None
 
     def test_bad_pulses_is_2(self, tmp_path):
         assert run(["thermometry", "--pulses", 0,
@@ -285,6 +331,18 @@ class TestCalibrateHeating:
         assert run(["calibrate-heating", "--target", target, "--out", out]) == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["thermometry", "--config", "bad.bin", "--out", "t.json"],
+        ["calibrate-heating", "--target", "bad.bin", "--out", "fit.json"],
+    ], ids=["config", "target"])
+    def test_undecodable_input_is_2(self, tmp_path, monkeypatch, capsys, argv):
+        # a UnicodeDecodeError is a ValueError, which main no longer maps
+        monkeypatch.chdir(tmp_path)
+        Path("bad.bin").write_bytes(b"delta_t_ns,g2_om\n100,\xff\n")
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_unreachable_target_is_3(self, tmp_path):
         target = tmp_path / "target.csv"

@@ -8,6 +8,8 @@ import pytest
 
 from phononherald import analysis, protocol, tags
 from phononherald import fock as F
+from phononherald.config import ExperimentConfig
+from phononherald.detection import silent_subsets
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +50,7 @@ class TestOutcomeTable:
         mech = F.thermal_state(cfg.heating.n_base, n_max, 1e-6)
         state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
         state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(cfg.protocol.p_pair)))
-        dets = protocol._window_detectors(cfg, cfg.chain.window_write_ns)
-        q = F.pair_click_matrix(n_max, *dets)
+        q = F.pair_click_matrix(n_max, *silent_subsets(cfg, cfg.chain.window_write_ns))
         optical = state.joint_number_distribution().sum(axis=0)
         expected = q @ optical
         got = table.probs.reshape(4, 4).sum(axis=1)
@@ -63,6 +64,36 @@ class TestOutcomeTable:
     def test_unnormalized_table_rejected(self, table):
         with pytest.raises(ValueError, match="sums to"):
             protocol.OutcomeTable(100.0, table.probs * 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_table_rejected(self, table, bad):
+        with pytest.raises(ValueError, match="sums to"):
+            protocol.OutcomeTable(100.0, np.full(16, bad))
+        probs = table.probs.copy()
+        probs[5] = bad
+        with pytest.raises(ValueError, match="sums to"):
+            protocol.OutcomeTable(100.0, probs)
+
+    @pytest.mark.parametrize("chain", [
+        {"eta_path1": 3.0},
+        {"eta_path2": -0.1},
+        {"eta_path1": 0.6, "eta_path2": 0.6},
+        {"eta_path1": float("nan")},
+        {"dark_rate_hz": 1e11},
+        {"dark_rate_hz": -1.0},
+        {"leak_fraction": 1.5},
+    ], ids=["efficiency-above-1", "negative-efficiency", "efficiency-sum",
+            "nan-efficiency", "dark-probability", "negative-dark", "negative-leak"])
+    def test_detector_model_range_checked(self, chain):
+        # configs built directly skip config.check; the detector model
+        # still refuses them instead of yielding a NaN table
+        unit = {"eta_fc": 1.0, "eta_c": 1.0, "eta_qe1": 1.0, "eta_qe2": 1.0}
+        default_chain = ExperimentConfig().chain
+        cfg = ExperimentConfig(chain=dataclasses.replace(default_chain, **unit, **chain))
+        with pytest.raises(ValueError, match="detector model out of range"):
+            silent_subsets(cfg, cfg.chain.window_read_ns)
+        with pytest.raises(ValueError, match="detector model out of range"):
+            protocol.build_outcome_table(cfg, 100.0)
 
 
 class TestSampling:
@@ -81,8 +112,10 @@ class TestSampling:
     def test_rates_match_table(self, fast_config):
         tables = [protocol.build_outcome_table(fast_config, 100.0)]
         n = 200_000
-        stream = protocol.sample_trials(fast_config, tables, n)
-        tt = analysis.tabulate(stream, fast_config, n)[100.0]
+        cfg = fast_config.replace(
+            protocol=dataclasses.replace(fast_config.protocol, trials=n))
+        stream = protocol.sample_trials(cfg, tables)
+        tt = analysis.tabulate(stream, cfg)[100.0]
         c = tt.counters()
         for key, expected in (("N_W", tables[0].p_write()),
                               ("N_R", tables[0].p_read()),
@@ -161,9 +194,11 @@ class TestThermometry:
         assert result.clicks_blue > result.clicks_red
 
     def test_golden_counts(self, default_config):
-        # pins the click counts of this config and seed
+        # pins the click counts and model floats of this config and seed
         result = protocol.simulate_thermometry(default_config, 2_000_000)
         assert (result.clicks_blue, result.clicks_red) == (898, 51)
+        assert result.ideal_asymmetry == 40.96682226600794
+        assert result.background_click_prob == 3.4544602543976194e-05
 
     def test_rejects_nonpositive_pulses(self, default_config):
         with pytest.raises(ValueError):

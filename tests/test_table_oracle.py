@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from phononherald import config as config_mod
 from phononherald import fock as F
 from phononherald import protocol
-from phononherald.detection import DetectorModel
+from phononherald.detection import silent_subsets
 
 
 def fock_outcome_table(config, delta_t_ns, n_max=None):
@@ -27,15 +27,13 @@ def fock_outcome_table(config, delta_t_ns, n_max=None):
     mech = F.thermal_state(heat.n_base, n_max, leak_tol)
     state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), leak_tol)
     state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(proto.p_pair)))
-    q_write = F.pair_click_matrix(
-        n_max, *protocol._window_detectors(config, config.chain.window_write_ns))
+    q_write = F.pair_click_matrix(n_max, *silent_subsets(config, config.chain.window_write_ns))
     cond = F.conditional_mech_states(state, q_write)
     weights = np.array([float(np.trace(c).real) for c in cond])
 
     delta_n = protocol.heating_occupation(delta_t_ns, heat) - heat.n_base + heat.read_heat
     delta_n = max(delta_n, 0.0)
-    q_read = F.pair_click_matrix(
-        n_max, *protocol._window_detectors(config, config.chain.window_read_ns))
+    q_read = F.pair_click_matrix(n_max, *silent_subsets(config, config.chain.window_read_ns))
 
     probs = np.empty(16)
     for wp, (rho_c, w) in enumerate(zip(cond, weights)):
@@ -85,20 +83,20 @@ def test_thermometry_probs_match_fock_oracle(default_config):
     n_max = cfg.numerics.n_max
     mech = F.thermal_state(cfg.heating.n_base, n_max, 1e-6)
     base = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
-    strength = cfg.protocol.p_pair
+    strength, n_base = cfg.protocol.p_pair, cfg.heating.n_base
     blue = F.two_mode_squeeze(base, np.arcsinh(np.sqrt(strength)))
     red = F.beam_splitter(base, strength)
-    for ideal in (False, True):
-        if ideal:
-            dets = (DetectorModel(cfg.chain.detector_efficiency(1)),
-                    DetectorModel(cfg.chain.detector_efficiency(2)))
-        else:
-            dets = protocol._window_detectors(cfg, cfg.chain.window_write_ns)
-        q = F.pair_click_matrix(n_max, *dets)
-        got = protocol._sideband_click_probs(cfg, strength, ideal=ideal)
-        for probs, state in zip(got, (blue, red)):
-            want = q @ state.joint_number_distribution().sum(axis=0)
-            np.testing.assert_allclose(probs, want, rtol=0, atol=PATTERN_ABS_TOL)
+    # the ideal asymmetry uses the same chain without dark counts or leak
+    ideal = cfg.replace(chain=dataclasses.replace(cfg.chain, dark_rate_hz=0.0,
+                                                  leak_fraction=0.0))
+    for chain_cfg in (cfg, ideal):
+        q = F.pair_click_matrix(
+            n_max, *silent_subsets(chain_cfg, chain_cfg.chain.window_write_ns))
+        for n_bar, state in ((strength * (1.0 + n_base), blue),
+                             (strength * n_base, red)):
+            want = q[0] @ state.joint_number_distribution().sum(axis=0)
+            got = protocol._sideband_silent_prob(chain_cfg, n_bar)
+            assert abs(got - want) <= PATTERN_ABS_TOL
 
 
 @settings(max_examples=60, deadline=None)
