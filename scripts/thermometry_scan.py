@@ -19,6 +19,10 @@ def main():
     cfg = C.default_config()
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
+    try:
+        C.check(cfg)
+    except C.ConfigError as exc:
+        ap.error(f"config error: {exc}")
     print(f"true occupation: {cfg.heating.n_base}")
     print(f"{'pulses':>10} {'n_th':>8} {'-sigma':>8} {'+sigma':>8}")
     for pulses in (10_000, 100_000, 1_000_000, 10_000_000):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tags
-from .config import ConfigError, ExperimentConfig
+from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
 from .protocol import read_window_start_ps
 
 TAIL_MASS = 0.16
@@ -127,7 +127,7 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     """Assign every record to its (setting, trial, window, detector) cell.
 
     ``read_window_ns`` trims the read evaluation window post hoc (e.g.
-    55 ns -> 30 ns) without resimulating; records beyond the trimmed but
+    55 ns -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed but
     inside the configured window are dropped silently. Records outside
     their labelled window are format errors. The tables depend neither on
     the record order nor on repeated records.
@@ -140,9 +140,9 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
             f"stream holds {stream.trial_count} trials, config implies {expected}")
     full_read_ns = config.chain.window_read_ns
     trim_ns = full_read_ns if read_window_ns is None else float(read_window_ns)
-    if not 0 < trim_ns <= full_read_ns:
+    if not MIN_WINDOW_NS <= trim_ns <= full_read_ns:
         raise ConfigError(
-            f"read-window-ns: {trim_ns} outside (0, {full_read_ns}]")
+            f"read-window-ns: {trim_ns} outside [{MIN_WINDOW_NS}, {full_read_ns}]")
     write_len = int(round(config.chain.window_write_ns * 1000.0))
 
     out = {}

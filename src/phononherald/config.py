@@ -18,14 +18,26 @@ class ConfigError(Exception):
     """Schema violation; message carries the offending field path."""
 
 
+MIN_WINDOW_NS = 0.001  # one picosecond, the unit of a click time
+
+
+def _number(default, *, gt=None, ge=None, lt=None, le=None):
+    """A numeric field and its range, which `check` enforces. The annotation
+    gives the kind: an ``int`` field holds an integer, any other field a
+    finite number (a ``tuple`` field element by element); a bool is neither."""
+    lo, hi = (ge if gt is None else gt), (le if lt is None else lt)
+    return field(default=default,
+                 metadata={"range": (lo, gt is not None, hi, lt is not None)})
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Informational device parameters (not used by the counting model)."""
 
-    omega_m_ghz: float = 5.307      # mechanical breathing-mode frequency
-    kappa_c_ghz: float = 1.3        # optical cavity linewidth (FWHM)
-    g0_khz: float = 825.0           # single-photon optomechanical coupling
-    q_factor: float = 1.1e6         # mechanical quality factor
+    omega_m_ghz: float = _number(5.307, gt=0)  # mechanical breathing-mode frequency
+    kappa_c_ghz: float = _number(1.3, gt=0)    # optical cavity linewidth (FWHM)
+    g0_khz: float = _number(825.0, gt=0)       # single-photon optomechanical coupling
+    q_factor: float = _number(1.1e6, gt=0)     # mechanical quality factor
 
 
 @dataclass(frozen=True)
@@ -37,17 +49,19 @@ class DetectionChain:
     come out at 1.1% / 1.6% and sum to the ~2.7% overall efficiency.
     """
 
-    eta_fc: float = 0.603           # fiber-to-chip coupling, one-way
-    eta_c: float = 0.5              # cavity extraction kappa_ext / kappa_c
-    eta_path1: float = 0.05613      # -> eta_1 = 1.1%
-    eta_path2: float = 0.05895      # -> eta_2 = 1.6%
-    eta_qe1: float = 0.65
-    eta_qe2: float = 0.90
-    dark_rate_hz: float = 10.0
-    suppression_db: float = 84.0    # pump rejection, informational
-    leak_fraction: float = 0.04     # leaked pump share of write-window clicks
-    window_write_ns: float = 40.0
-    window_read_ns: float = 55.0
+    eta_fc: float = _number(0.603, ge=0, le=1)      # fiber-to-chip coupling, one-way
+    eta_c: float = _number(0.5, ge=0, le=1)         # cavity extraction kappa_ext / kappa_c
+    eta_path1: float = _number(0.05613, ge=0, le=1)  # -> eta_1 = 1.1%
+    eta_path2: float = _number(0.05895, ge=0, le=1)  # -> eta_2 = 1.6%
+    eta_qe1: float = _number(0.65, ge=0, le=1)
+    eta_qe2: float = _number(0.90, ge=0, le=1)
+    dark_rate_hz: float = _number(10.0, ge=0)
+    suppression_db: float = _number(84.0, ge=0)     # pump rejection, informational
+    # leaked pump share of write-window clicks; the leak mean is f / (1 - f)
+    leak_fraction: float = _number(0.04, ge=0, lt=1)
+    # click times are whole picoseconds, so a shorter window holds no time
+    window_write_ns: float = _number(40.0, ge=MIN_WINDOW_NS)
+    window_read_ns: float = _number(55.0, ge=MIN_WINDOW_NS)
 
     def detector_efficiency(self, index: int) -> float:
         path = self.eta_path1 if index == 1 else self.eta_path2
@@ -66,28 +80,28 @@ class DetectionChain:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    p_pair: float = 0.03            # Stokes pair probability per write pulse
-    eps_read: float = 0.037         # read-pulse state-transfer efficiency
-    delta_t_list_ns: tuple = (100.0,)
-    rep_period_ms: float = 1.0
-    trials: int = 10_000_000
+    p_pair: float = _number(0.03, ge=0, le=1)  # Stokes pair probability per write pulse
+    eps_read: float = _number(0.037, ge=0, le=1)  # read-pulse state-transfer efficiency
+    delta_t_list_ns: tuple = _number((100.0,), ge=0)
+    rep_period_ms: float = _number(1.0, gt=0)
+    trials: int = _number(10_000_000, ge=0)
 
 
 @dataclass(frozen=True)
 class HeatingParams:
     """Phenomenological absorption-heating model: rise then decay."""
 
-    n_base: float = 0.025
-    a_heat: float = 0.2288          # calibrated so g2_om(100 ns) matches 8.0
-    tau_rise_us: float = 0.37
-    t_decay_us: float = 34.4
-    read_heat: float = 0.0          # extra occupation injected during read
+    n_base: float = _number(0.025, ge=0)
+    a_heat: float = _number(0.2288, ge=0)  # calibrated so g2_om(100 ns) matches 8.0
+    tau_rise_us: float = _number(0.37, gt=0)
+    t_decay_us: float = _number(34.4, gt=0)
+    read_heat: float = _number(0.0, ge=0)  # extra occupation injected during read
 
 
 @dataclass(frozen=True)
 class NumericsParams:
-    n_max: int = 16
-    leak_tol: float = 1e-6
+    n_max: int = _number(16, ge=2)
+    leak_tol: float = _number(1e-6, gt=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,7 @@ class ExperimentConfig:
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     heating: HeatingParams = field(default_factory=HeatingParams)
     numerics: NumericsParams = field(default_factory=NumericsParams)
-    seed: int = 10
+    seed: int = _number(10, ge=0, lt=2 ** 64)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -122,99 +136,73 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-_UNIT_FIELDS = {
-    "chain.eta_fc", "chain.eta_c", "chain.eta_path1", "chain.eta_path2",
-    "chain.eta_qe1", "chain.eta_qe2", "protocol.p_pair", "protocol.eps_read",
-}
-_POSITIVE_FIELDS = {
-    "device.omega_m_ghz", "device.kappa_c_ghz", "device.g0_khz",
-    "device.q_factor", "chain.window_write_ns", "chain.window_read_ns",
-    "protocol.rep_period_ms", "heating.tau_rise_us", "heating.t_decay_us",
-}
-_NONNEGATIVE_FIELDS = {
-    "chain.dark_rate_hz", "chain.suppression_db", "heating.n_base",
-    "heating.a_heat", "heating.read_heat",
-}
-_INTEGER_FIELDS = {"protocol.trials", "numerics.n_max", "seed"}
+def _declared_numbers(obj, prefix=""):
+    """(path, value, field) for each number declared on ``obj`` and its
+    sections; a field without a range is a section."""
+    for f in dataclasses.fields(obj):
+        path, value = prefix + f.name, getattr(obj, f.name)
+        if "range" not in f.metadata:
+            yield from _declared_numbers(value, path + ".")
+        elif f.type == "tuple":
+            for i, item in enumerate(value):
+                yield f"{path}[{i}]", item, f
+        else:
+            yield path, value, f
 
 
-def _type_errors(config: ExperimentConfig) -> list:
-    """Every field must hold a finite number, an integer where
-    _INTEGER_FIELDS says so; a bool is neither. Values are not coerced, so
-    a valid config keeps its canonical JSON and hash."""
-    values = {"seed": config.seed}
-    for section, cls in _SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            if f.name != "delta_t_list_ns":
-                values[f"{section}.{f.name}"] = getattr(getattr(config, section), f.name)
-    for i, t in enumerate(config.protocol.delta_t_list_ns):
-        values[f"protocol.delta_t_list_ns[{i}]"] = t
-    errors = []
-    for path, value in values.items():
-        integer = path in _INTEGER_FIELDS
-        kind = numbers.Integral if integer else numbers.Real
-        if (isinstance(value, bool) or not isinstance(value, kind)
-                or (not integer and not math.isfinite(value))):
-            expected = "an integer" if integer else "a finite number"
-            errors.append(f"{path}: expected {expected}, got {value!r}")
-    return errors
+def _field_error(value, integer, lo, lo_open, hi, hi_open):
+    """What ``value`` breaks of its field's kind and range, or None."""
+    try:  # math.isfinite overflows on an integer too large for a float
+        typed = not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) if integer
+            else isinstance(value, numbers.Real) and math.isfinite(value))
+    except OverflowError:
+        typed = False
+    if not typed:
+        return f"expected {'an integer' if integer else 'a finite number'}, got {value!r}"
+    if (value > lo if lo_open else value >= lo) and (
+            hi is None or (value < hi if hi_open else value <= hi)):
+        return None
+    if hi is None:
+        return f"{value} must be {'>' if lo_open else '>='} {lo}"
+    return (f"{value} outside {'(' if lo_open else '['}{lo}, "
+            f"{hi}{')' if hi_open else ']'}")
 
 
 def check(config: ExperimentConfig) -> None:
-    errors = _type_errors(config)
+    """Raise ConfigError naming each field outside its declared kind and
+    range, else each broken cross-field rule. Values are not coerced, so a
+    valid config keeps its canonical JSON and hash."""
+    errors = []
+    for path, value, f in _declared_numbers(config):
+        error = _field_error(value, f.type == "int", *f.metadata["range"])
+        if error:
+            errors.append(f"{path}: {error}")
     if errors:
         raise ConfigError("; ".join(sorted(errors)))
-    for path in _UNIT_FIELDS:
-        section, name = path.split(".")
-        value = getattr(getattr(config, section), name)
-        if not 0.0 <= value <= 1.0:
-            errors.append(f"{path}: {value} outside [0, 1]")
-    for path in _POSITIVE_FIELDS:
-        section, name = path.split(".")
-        value = getattr(getattr(config, section), name)
-        if not value > 0:
-            errors.append(f"{path}: {value} must be > 0")
-    for path in _NONNEGATIVE_FIELDS:
-        section, name = path.split(".")
-        value = getattr(getattr(config, section), name)
-        if value < 0:
-            errors.append(f"{path}: {value} must be >= 0")
     chain = config.chain
-    if not 0.0 <= chain.leak_fraction < 1.0:  # leak mean ~ f / (1 - f)
-        errors.append(f"chain.leak_fraction: {chain.leak_fraction} outside [0, 1)")
     e1, e2 = chain.detector_efficiency(1), chain.detector_efficiency(2)
     if e1 + e2 > 1.0:  # the two detectors split one optical mode
         errors.append(f"chain.eta_path1, chain.eta_path2: detector efficiencies "
                       f"{e1} + {e2} exceed 1")
     for window in ("window_write_ns", "window_read_ns"):
-        dark = chain.dark_prob(getattr(chain, window))
+        # a float window keeps two integers' product from overflowing a float
+        dark = chain.dark_prob(float(getattr(chain, window)))
         if dark >= 1.0:
             errors.append(f"chain.dark_rate_hz: dark-count probability {dark} "
                           f"in chain.{window} must be < 1")
     dts = config.protocol.delta_t_list_ns
     if len(dts) == 0:
         errors.append("protocol.delta_t_list_ns: must be non-empty")
-    elif any(b <= a for a, b in zip(dts, dts[1:])) or any(t < 0 for t in dts):
-        errors.append("protocol.delta_t_list_ns: must be non-negative and ascending")
-    if config.protocol.trials < 0:
-        errors.append(f"protocol.trials: {config.protocol.trials} must be >= 0")
-    if config.numerics.n_max < 2:
-        errors.append(f"numerics.n_max: {config.numerics.n_max} must be >= 2")
-    if not 0 < config.numerics.leak_tol <= 1:
-        errors.append(f"numerics.leak_tol: {config.numerics.leak_tol} outside (0, 1]")
-    if not 0 <= config.seed < 2 ** 64:
-        errors.append(f"seed: {config.seed} outside unsigned 64-bit range")
+    elif any(b <= a for a, b in zip(dts, dts[1:])):
+        errors.append("protocol.delta_t_list_ns: must be strictly ascending")
     if errors:
         raise ConfigError("; ".join(sorted(errors)))
 
 
-_SECTIONS = {
-    "device": DeviceParams,
-    "chain": DetectionChain,
-    "protocol": ProtocolParams,
-    "heating": HeatingParams,
-    "numerics": NumericsParams,
-}
+# section name -> its dataclass; every ExperimentConfig field but the seed
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+             if "range" not in f.metadata}
 
 
 def from_dict(data: dict) -> ExperimentConfig:

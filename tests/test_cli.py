@@ -133,8 +133,10 @@ class TestExitCodes:
         '{"heating": {"a_heat": null}}',
         '{"seed": true}',
         '{"protocol": {"delta_t_list_ns": 100}}',
+        f'{{"protocol": {{"p_pair": {10 ** 400}}}}}',
+        f'{{"protocol": {{"delta_t_list_ns": [{10 ** 400}]}}}}',
     ], ids=["float-trials", "string-p_pair", "null-a_heat", "bool-seed",
-            "scalar-delays"])
+            "scalar-delays", "huge-int-p_pair", "huge-int-delay"])
     def test_mistyped_config_is_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -152,8 +154,13 @@ class TestExitCodes:
         ('{"eta_path1": 0.9, "eta_path2": 0.9, "eta_c": 1.0, "eta_fc": 1.0}',
          ["simulate", "--out", "x.tags"]),
         ('{"dark_rate_hz": 1e8}', ["thermometry", "--out", "t.json"]),
+        ('{"window_write_ns": 1e-9, "window_read_ns": 1e-9}',
+         ["simulate", "--out", "x.tags"]),
+        ('{"window_write_ns": 1e-9, "window_read_ns": 1e-9}',
+         ["reproduce", "--figure", "fig3b", "--out", "figs"]),
     ], ids=["leak-simulate", "leak-thermometry", "leak-fig3c", "leak-m3",
-            "efficiency-sum", "dark-probability"])
+            "efficiency-sum", "dark-probability", "sub-ps-windows-simulate",
+            "sub-ps-windows-fig3b"])
     def test_detection_chain_gap_is_2(self, tmp_path, monkeypatch, capsys, chain,
                                       argv):
         # each reaches config.check, which names the field, before any
@@ -212,17 +219,31 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_one_picosecond_windows_analyze(self, tmp_path, monkeypatch):
+        # the shortest window the schema admits holds one click time, so the
+        # program's own stream is never a format error
+        monkeypatch.chdir(tmp_path)
+        Path("ps.json").write_text(
+            '{"chain": {"window_write_ns": 0.001, "window_read_ns": 0.001}}')
+        config_mod.check(config_mod.load("ps.json"))
+        argv = ["--config", "ps.json", "--trials", 200_000]
+        assert run(["simulate", "--out", "ps.tags", *argv]) == 0
+        assert run(["analyze", "ps.tags", "--out", "o", *argv]) in (0, 5)
+
     def test_read_window_outside_window_is_2(self, tmp_path, fast_config_path, capsys):
         stream = tmp_path / "run.tags"
         assert run(["simulate", "--config", fast_config_path, "--out", stream,
                     "--trials", 1000]) == 0
-        assert run(["analyze", stream, "--config", fast_config_path,
-                    "--out", tmp_path / "o", "--trials", 1000,
-                    "--read-window-ns", 80]) == 2
-        err = capsys.readouterr().err
-        assert "config error: read-window-ns" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        # beyond the configured window, and below one picosecond, where the
+        # trim would drop every read click
+        for trim_ns in (80, 0.0004):
+            assert run(["analyze", stream, "--config", fast_config_path,
+                        "--out", tmp_path / "o", "--trials", 1000,
+                        "--read-window-ns", trim_ns]) == 2
+            err = capsys.readouterr().err
+            assert "config error: read-window-ns" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / "o").exists()
 
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch,
                                                        capsys):

@@ -1,9 +1,12 @@
 """Config schema: round-trips, validation, canonical hashing."""
 
+import copy
 import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phononherald import config as C
 
@@ -52,6 +55,7 @@ def test_hash_is_stable_across_processes():
     # FNV-1a of the canonical JSON, not Python's salted hash()
     cfg = C.default_config()
     assert cfg.config_hash() == C.fnv1a64(cfg.canonical_json())
+    assert format(cfg.config_hash(), "016x") == "8b42b4c67506512d"
 
 
 def test_unknown_section_rejected():
@@ -142,3 +146,38 @@ def test_canonical_json_is_sorted_and_compact():
     data = json.loads(text)
     assert list(data) == sorted(data)
     assert ": " not in text
+
+
+_DEFAULT = C.default_config().to_dict()
+# every field of every section, the seed, and the first delay element
+_PATHS = [(section, name) for section, fields in _DEFAULT.items()
+          if isinstance(fields, dict) for name in fields]
+_PATHS += [("seed",), ("protocol", "delta_t_list_ns", 0)]
+_NUMBERS = st.one_of(st.integers(-10 ** 400, 10 ** 400), st.floats())
+_VALUES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3),
+                    st.lists(_NUMBERS, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_PATHS), _VALUES, min_size=1, max_size=3))
+@example({("protocol", "p_pair"): 10 ** 400})
+@example({("protocol", "delta_t_list_ns", 0): 10 ** 400})
+@example({("chain", "dark_rate_hz"): 10 ** 308, ("chain", "window_read_ns"): 10 ** 308})
+def test_schema_rejects_or_round_trips(replacements):
+    # any value in any field is either a ConfigError or a config whose
+    # canonical JSON loads back to the same config and hash
+    data = copy.deepcopy(_DEFAULT)
+    # a delay element first, so a later whole-list value replaces it
+    for path in sorted(replacements, key=len, reverse=True):
+        *parents, last = path
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = replacements[path]
+    try:
+        cfg = C.from_dict(data)
+    except C.ConfigError:
+        return
+    again = C.from_dict(json.loads(cfg.canonical_json()))
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
