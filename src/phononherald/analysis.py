@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tags
 from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
-from .protocol import read_window_start_ps
+from .protocol import MASKS, SLOT_BITS, read_window_start_ps
 
 TAIL_MASS = 0.16
 BOUND_GRID_POINTS = 4096
@@ -87,34 +87,26 @@ class CorrelationEstimate:
 
 @dataclass
 class TrialTable:
-    """Clicked trials of one write->read delay setting: for each detector
-    in each window, the sorted, unique local trial indices that clicked."""
+    """Clicked trials of one write->read delay setting: the sorted, unique
+    local trials with a click in the (trimmed) windows, and each one's
+    nonzero click pattern, built from ``protocol.SLOT_BITS`` as it indexes
+    ``OutcomeTable.probs``."""
 
     delta_t_ns: float
     trials: int
-    w1: np.ndarray
-    w2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
+    clicked: np.ndarray
+    patterns: np.ndarray
 
-    @property
-    def w_any(self) -> np.ndarray:
-        return np.union1d(self.w1, self.w2)
-
-    @property
-    def r_any(self) -> np.ndarray:
-        return np.union1d(self.r1, self.r2)
+    def pattern_counts(self) -> np.ndarray:
+        """Trials per pattern; pattern 0 is every trial that did not click."""
+        counts = np.bincount(self.patterns, minlength=16)
+        counts[0] = self.trials - self.clicked.size
+        return counts
 
     def counters(self) -> dict:
-        w, r = self.w_any, self.r_any
-        return {
-            "T": self.trials,
-            "N_W1": self.w1.size, "N_W2": self.w2.size,
-            "N_R1": self.r1.size, "N_R2": self.r2.size,
-            "N_W1W2": _coincidences(self.w1, self.w2),
-            "N_R1R2": _coincidences(self.r1, self.r2),
-            "N_W": w.size, "N_R": r.size, "N_WR": _coincidences(w, r),
-        }
+        counts = self.pattern_counts()
+        return {"T": self.trials, **{f"N_{name}": int(counts[mask].sum())
+                                     for name, mask in MASKS.items()}}
 
 
 def _coincidences(a: np.ndarray, b: np.ndarray, offset: int = 0) -> int:
@@ -124,7 +116,8 @@ def _coincidences(a: np.ndarray, b: np.ndarray, offset: int = 0) -> int:
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
              read_window_ns=None) -> dict[float, TrialTable]:
-    """Assign every record to its (setting, trial, window, detector) cell.
+    """Assign every record to its setting and trial, setting its slot's bit
+    in the trial's click pattern.
 
     ``read_window_ns`` trims the read evaluation window post hoc (e.g.
     55 ns -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed but
@@ -163,10 +156,13 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
             raise tags.TagFormatError(
                 "record time outside its labelled pulse window "
                 f"(trial {int(r['trial_index'][(bad_write | bad_read)][0])})")
-        in_trim = t < read_start + int(round(trim_ns * 1000.0))
-        channels = [np.unique(trial[sel & (r["detector"] == det)])
-                    for sel in (is_write, ~is_write & in_trim) for det in (0, 1)]
-        out[delta_t] = TrialTable(delta_t, trials_per_setting, *channels)
+        keep = is_write | (t < read_start + int(round(trim_ns * 1000.0)))
+        # sorted (trial, slot) keys group a trial's records in any record
+        # order, and OR-ing their bits ignores repeated records
+        key = np.sort(trial[keep] * 4 + 2 * r["pulse_label"][keep] + r["detector"][keep])
+        first = np.flatnonzero(np.diff(key >> 2, prepend=-1))
+        patterns = np.bitwise_or.reduceat(SLOT_BITS[key & 3], first)
+        out[delta_t] = TrialTable(delta_t, trials_per_setting, key[first] >> 2, patterns)
     return out
 
 
@@ -188,7 +184,7 @@ def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
     t = table.trials
     pooled = np.ndim(delta_n) > 0
     offsets = list(delta_n) if pooled else [delta_n]
-    w, r = table.w_any, table.r_any
+    w, r = (table.clicked[MASKS[name][table.patterns]] for name in ("W", "R"))
     coinc = pairs = 0
     for dn in offsets:
         if pooled and (dn == 0 or t - abs(dn) < 1):
@@ -218,12 +214,10 @@ def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimat
         use = [tables[delta_t_ns]]
     else:
         raise ValueError(f"window must be WRITE or READ, got {window!r}")
-    channels = [(tab.w1, tab.w2) if window == "WRITE" else (tab.r1, tab.r2)
-                for tab in use]
-    t = sum(tab.trials for tab in use)
-    coinc = sum(_coincidences(x1, x2) for x1, x2 in channels)
-    n1 = sum(x1.size for x1, _ in channels)
-    n2 = sum(x2.size for _, x2 in channels)
+    keys = ("T", "N_W1W2", "N_W1", "N_W2") if window == "WRITE" else (
+        "T", "N_R1R2", "N_R1", "N_R2")
+    counters = [tab.counters() for tab in use]
+    t, coinc, n1, n2 = (sum(c[key] for c in counters) for key in keys)
     counts = {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": t, "window": window}
     return _scaled_estimate(coinc, t, n1, n2, t, counts)
 

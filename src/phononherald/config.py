@@ -13,12 +13,20 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+from .rng import DRAWS_PER_TRIAL
+
 
 class ConfigError(Exception):
     """Schema violation; message carries the offending field path."""
 
 
 MIN_WINDOW_NS = 0.001  # one picosecond, the unit of a click time
+# every (trial, draw) counter of a stream is a distinct uint64, and so is the
+# header's trial count
+MAX_TRIALS = 2 ** 64 // DRAWS_PER_TRIAL
+# ~8x a room-temperature occupation of the 5.3 GHz mode; from ~2e4 quanta
+# the covariance matrices fail their symmetry check in float64
+MAX_OCCUPATION = 1e4
 
 
 def _number(default, *, gt=None, ge=None, lt=None, le=None):
@@ -91,11 +99,13 @@ class ProtocolParams:
 class HeatingParams:
     """Phenomenological absorption-heating model: rise then decay."""
 
-    n_base: float = _number(0.025, ge=0)
-    a_heat: float = _number(0.2288, ge=0)  # calibrated so g2_om(100 ns) matches 8.0
+    n_base: float = _number(0.025, ge=0, le=MAX_OCCUPATION)
+    # calibrated so g2_om(100 ns) matches 8.0
+    a_heat: float = _number(0.2288, ge=0, le=MAX_OCCUPATION)
     tau_rise_us: float = _number(0.37, gt=0)
     t_decay_us: float = _number(34.4, gt=0)
-    read_heat: float = _number(0.0, ge=0)  # extra occupation injected during read
+    # extra occupation injected during read
+    read_heat: float = _number(0.0, ge=0, le=MAX_OCCUPATION)
 
 
 @dataclass(frozen=True)
@@ -160,13 +170,15 @@ def _field_error(value, integer, lo, lo_open, hi, hi_open):
         typed = False
     if not typed:
         return f"expected {'an integer' if integer else 'a finite number'}, got {value!r}"
-    if (value > lo if lo_open else value >= lo) and (
-            hi is None or (value < hi if hi_open else value <= hi)):
+    above_lo = value > lo if lo_open else value >= lo
+    if above_lo and (hi is None or (value < hi if hi_open else value <= hi)):
         return None
+    broken = (f"must be {'>' if lo_open else '>='} {lo}" if not above_lo
+              else f"must be {'<' if hi_open else '<='} {hi}")
     if hi is None:
-        return f"{value} must be {'>' if lo_open else '>='} {lo}"
+        return f"{value} {broken}"
     return (f"{value} outside {'(' if lo_open else '['}{lo}, "
-            f"{hi}{')' if hi_open else ']'}")
+            f"{hi}{')' if hi_open else ']'}: {broken}")
 
 
 def check(config: ExperimentConfig) -> None:
@@ -196,6 +208,9 @@ def check(config: ExperimentConfig) -> None:
         errors.append("protocol.delta_t_list_ns: must be non-empty")
     elif any(b <= a for a, b in zip(dts, dts[1:])):
         errors.append("protocol.delta_t_list_ns: must be strictly ascending")
+    if config.protocol.trials * len(dts) >= MAX_TRIALS:
+        errors.append(f"protocol.trials: {config.protocol.trials} trials x "
+                      f"{len(dts)} delays must be < {MAX_TRIALS}")
     if errors:
         raise ConfigError("; ".join(sorted(errors)))
 

@@ -4,14 +4,15 @@ For a given configuration and write->read delay, the full quantum pipeline
 (thermal mechanics, two-mode squeezing write, write-side threshold
 detection, absorption-heating rethermalization, beam-splitter read-out,
 read-side detection) is collapsed into a 16-entry table of joint click
-patterns (W1, W2, R1, R2). Every step is a Gaussian channel, so the table
-is closed form: inclusion-exclusion over vacuum probabilities of subsets of
-silent detectors (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)); the
-Fock engine in ``fock`` is the tests' oracle. Each trial then draws one
-counter-based deterministic uniform that decides silent or click against
-P(no click); only the ~1e-3 of trials that click go on to pick their pattern
-from the table and draw click times, which makes 1e7+ trials cheap and
-embarrassingly parallel.
+patterns (W1, W2, R1, R2), indexed by one bit rule (``SLOT_BITS``) that
+the sampler and the analysis share. Every step is a Gaussian channel, so
+the table is closed form: inclusion-exclusion over vacuum probabilities of
+subsets of silent detectors (Quesada, Arrazola & Killoran, PRA 98, 062322
+(2018)); the Fock engine in ``fock`` is the tests' oracle. Each trial then
+draws one counter-based deterministic uniform that decides silent or click
+against P(no click); only the ~1e-3 of trials that click go on to pick their
+pattern from the table and draw click times, which makes 1e7+ trials cheap
+and embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from .detection import PATTERN_FROM_SILENT, silent_subsets
 
 PROB_SUM_TOL = 1e-9
 SAMPLE_CHUNK = 1_000_000
+
+
+# a click in record slot 2*pulse_label + detector (W1, W2, R1, R2) sets bit
+# SLOT_BITS[slot] = 8 >> slot of its trial's pattern
+SLOT_BITS = (8 >> np.arange(4)).astype(np.uint8)
+_W1, _W2, _R1, _R2 = ((np.arange(16)[:, None] & SLOT_BITS) != 0).T
+# the patterns each counted event covers; every mask leaves out pattern 0
+MASKS = {"W1": _W1, "W2": _W2, "R1": _R1, "R2": _R2,
+         "W1W2": _W1 & _W2, "R1R2": _R1 & _R2,
+         "W": _W1 | _W2, "R": _R1 | _R2, "WR": (_W1 | _W2) & (_R1 | _R2)}
 
 
 def heating_occupation(delta_t_ns: float, heating) -> float:
@@ -47,7 +58,8 @@ def heating_occupation(delta_t_ns: float, heating) -> float:
 class OutcomeTable:
     """Joint click-pattern distribution for one (config, delay) point.
 
-    ``probs[w1*8 + w2*4 + r1*2 + r2]`` is the probability of the pattern.
+    ``probs[w1*8 + w2*4 + r1*2 + r2]`` is the probability of the pattern,
+    whose bits are the ``SLOT_BITS`` of its clicks.
     The table holds click probabilities only: every statistic the pipeline
     reports (g2, the Cauchy-Schwarz bound) is built from click patterns.
     """
@@ -61,35 +73,20 @@ class OutcomeTable:
         if not (abs(total - 1.0) <= PROB_SUM_TOL and self.probs.min() >= -1e-15):
             raise ValueError(f"outcome table sums to {total}, not 1")
 
-    def _marginal(self, mask_fn) -> float:
-        idx = np.arange(16)
-        w1, w2 = (idx >> 3) & 1, (idx >> 2) & 1
-        r1, r2 = (idx >> 1) & 1, idx & 1
-        return float(self.probs[mask_fn(w1, w2, r1, r2)].sum())
-
-    def p_write(self) -> float:
-        return self._marginal(lambda w1, w2, r1, r2: (w1 | w2) == 1)
-
-    def p_read(self) -> float:
-        return self._marginal(lambda w1, w2, r1, r2: (r1 | r2) == 1)
-
-    def p_write_and_read(self) -> float:
-        return self._marginal(lambda w1, w2, r1, r2: ((w1 | w2) & (r1 | r2)) == 1)
+    def _g2(self, one: str, two: str, both: str) -> float:
+        """P(both) / (P(one) * P(two)) over the patterns of those MASKS."""
+        p_one, p_two, p_both = (float(self.probs[MASKS[k]].sum())
+                                for k in (one, two, both))
+        return p_both / (p_one * p_two)
 
     def g2_cross_implied(self) -> float:
-        return self.p_write_and_read() / (self.p_write() * self.p_read())
+        return self._g2("W", "R", "WR")
 
     def g2_auto_write_implied(self) -> float:
-        p1 = self._marginal(lambda w1, w2, r1, r2: w1 == 1)
-        p2 = self._marginal(lambda w1, w2, r1, r2: w2 == 1)
-        p12 = self._marginal(lambda w1, w2, r1, r2: (w1 & w2) == 1)
-        return p12 / (p1 * p2)
+        return self._g2("W1", "W2", "W1W2")
 
     def g2_auto_read_implied(self) -> float:
-        p1 = self._marginal(lambda w1, w2, r1, r2: r1 == 1)
-        p2 = self._marginal(lambda w1, w2, r1, r2: r2 == 1)
-        p12 = self._marginal(lambda w1, w2, r1, r2: (r1 & r2) == 1)
-        return p12 / (p1 * p2)
+        return self._g2("R1", "R2", "R1R2")
 
     def classical_bound_implied(self) -> float:
         return float(np.sqrt(self.g2_auto_write_implied() * self.g2_auto_read_implied()))
@@ -149,9 +146,8 @@ def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
     trial, u = _clicked_trials(cdf[0], seed, start, stop)
     patterns = np.searchsorted(cdf, u, side="right")
     patterns = np.minimum(patterns, 15)  # guard against cdf[-1] rounding below 1
-    # slot 2*pulse_label + detector holds pattern bit 3 - slot, so the
     # row-major nonzero lists records in stream order (trial, label, detector)
-    row, slot = np.nonzero((patterns[:, None] >> np.arange(3, -1, -1)) & 1)
+    row, slot = np.nonzero(patterns[:, None] & SLOT_BITS)
     trial = trial[row]
     label = slot >> 1
     u = rng.uniforms(seed, trial, 1 + slot)

@@ -36,8 +36,15 @@ def uniforms(seed: int, trial_indices: np.ndarray,
     if np.any((draws < 0) | (draws >= DRAWS_PER_TRIAL)):
         raise ValueError(f"draw index {draw} outside [0, {DRAWS_PER_TRIAL})")
     trials = np.asarray(trial_indices, dtype=np.uint64)
+    # one counter array, hashed in place, and one float array out: a chunk's
+    # peak memory stays a few arrays, whatever the threads interleave
     with np.errstate(over="ignore"):
-        counter = trials * np.uint64(DRAWS_PER_TRIAL) + (draws + 1).astype(np.uint64)
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + counter * _GOLDEN
-        z = _mix64(state)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        z = trials * np.uint64(DRAWS_PER_TRIAL)
+        z += (draws + 1).astype(np.uint64)
+        z *= _GOLDEN
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        z = _mix64(z)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= _INV_2_53
+    return out

@@ -220,8 +220,9 @@ def test_criterion_8_statistics_engine():
             x1 = np.zeros(100_000, dtype=bool)
             x2 = np.zeros(100_000, dtype=bool)
             x1[:60], x2[60 - min(c1, c2):140 - min(c1, c2)] = True, True
-            tt = A.TrialTable(100.0, x1.size, np.flatnonzero(x1), np.flatnonzero(x2),
-                              np.flatnonzero(x1), np.flatnonzero(x2))
+            patterns = protocol.SLOT_BITS @ np.array([x1, x2, x1, x2])
+            clicked = np.flatnonzero(patterns)
+            tt = A.TrialTable(100.0, x1.size, clicked, patterns[clicked])
             aw = A.g2_auto_estimate({100.0: tt}, "WRITE")
             c = dict(aw.counts)
             c["N_coinc"] = c1

@@ -63,8 +63,10 @@ class TestBinomialCI:
 
 
 def make_table(w1, w2, r1, r2, delta_t=100.0):
-    channels = (np.flatnonzero(x) for x in (w1, w2, r1, r2))
-    return A.TrialTable(delta_t, len(w1), *channels)
+    flags = np.array([w1, w2, r1, r2], dtype=bool)
+    patterns = protocol.SLOT_BITS @ flags
+    clicked = np.flatnonzero(patterns)
+    return A.TrialTable(delta_t, len(w1), clicked, patterns[clicked])
 
 
 def with_trials(config, trials):
@@ -185,10 +187,16 @@ class TestCorrelationEstimators:
             A.g2_cross_estimate(table, 0)
 
 
-def dense_flags(stream, config, k):
-    """Per-trial click booleans (w1, w2, r1, r2) of setting ``k``."""
+def dense_flags(stream, config, k, read_window_ns=None):
+    """Per-trial click booleans (w1, w2, r1, r2) of setting ``k``, leaving out
+    read records at or past ``read_window_ns`` into the read window."""
     n = config.protocol.trials
     rec = stream.records[stream.records["trial_index"] // n == k]
+    if read_window_ns is not None:
+        delta_t = config.protocol.delta_t_list_ns[k]
+        end = (protocol.read_window_start_ps(config, delta_t)
+               + round(read_window_ns * 1000))
+        rec = rec[(rec["pulse_label"] == tags.WRITE_PULSE) | (rec["time_ps"] < end)]
     local = (rec["trial_index"] % n).astype(np.int64)
     flags = []
     for label in (tags.WRITE_PULSE, tags.READ_PULSE):
@@ -211,46 +219,53 @@ def test_record_level_counts_match_dense_oracle(fast_config):
         fast_config.protocol, delta_t_list_ns=settings, trials=20_000))
     outcome = [protocol.build_outcome_table(cfg, dt) for dt in settings]
     stream = protocol.sample_trials(cfg, outcome)
-    tables = A.tabulate(stream, cfg)
-    auto_write = np.zeros(4, dtype=np.int64)
-    for k, dt in enumerate(settings):
-        table = tables[dt]
-        w1, w2, r1, r2 = dense_flags(stream, cfg, k)
-        w, r = w1 | w2, r1 | r2
-        assert table.counters() == {
-            "T": cfg.protocol.trials,
-            "N_W1": int(w1.sum()), "N_W2": int(w2.sum()),
-            "N_R1": int(r1.sum()), "N_R2": int(r2.sum()),
-            "N_W1W2": int((w1 & w2).sum()), "N_R1R2": int((r1 & r2).sum()),
-            "N_W": int(w.sum()), "N_R": int(r.sum()), "N_WR": int((w & r).sum()),
-        }
-        n, singles = cfg.protocol.trials, {"N_W": int(w.sum()), "N_R": int(r.sum())}
-        for dn in range(-3, 11):
-            assert A.g2_cross_estimate(table, dn).counts == {
-                "N_coinc": dense_offset_coincidences(w, r, dn), "pairs": n - abs(dn),
-                **singles, "T": n, "delta_n": dn}
-        assert A.g2_cross_estimate(table, range(1, 11)).counts == {
-            "N_coinc": sum(dense_offset_coincidences(w, r, dn) for dn in range(1, 11)),
-            "pairs": sum(n - dn for dn in range(1, 11)), **singles, "T": n,
-            "delta_n": list(range(1, 11))}
-        read = A.g2_auto_estimate(tables, "READ", dt).counts
-        assert (read["N_coinc"], read["N_1"], read["N_2"], read["T"]) == (
-            int((r1 & r2).sum()), int(r1.sum()), int(r2.sum()), len(r1))
-        auto_write += [int((w1 & w2).sum()), int(w1.sum()), int(w2.sum()), len(w1)]
-    write = A.g2_auto_estimate(tables, "WRITE").counts
-    assert [write[key] for key in ("N_coinc", "N_1", "N_2", "T")] == auto_write.tolist()
-    assert write["N_coinc"] > 0 and min(t.counters()["N_WR"] for t in tables.values()) > 0
+    for read_window_ns in (None, 30.0):  # the configured 55 ns, and a trim
+        tables = A.tabulate(stream, cfg, read_window_ns)
+        auto_write = np.zeros(4, dtype=np.int64)
+        for k, dt in enumerate(settings):
+            table = tables[dt]
+            w1, w2, r1, r2 = dense_flags(stream, cfg, k, read_window_ns)
+            w, r = w1 | w2, r1 | r2
+            assert table.counters() == {
+                "T": cfg.protocol.trials,
+                "N_W1": int(w1.sum()), "N_W2": int(w2.sum()),
+                "N_R1": int(r1.sum()), "N_R2": int(r2.sum()),
+                "N_W1W2": int((w1 & w2).sum()), "N_R1R2": int((r1 & r2).sum()),
+                "N_W": int(w.sum()), "N_R": int(r.sum()), "N_WR": int((w & r).sum()),
+            }
+            n = cfg.protocol.trials
+            singles = {"N_W": int(w.sum()), "N_R": int(r.sum())}
+            for dn in range(-3, 11):
+                assert A.g2_cross_estimate(table, dn).counts == {
+                    "N_coinc": dense_offset_coincidences(w, r, dn),
+                    "pairs": n - abs(dn), **singles, "T": n, "delta_n": dn}
+            assert A.g2_cross_estimate(table, range(1, 11)).counts == {
+                "N_coinc": sum(dense_offset_coincidences(w, r, dn)
+                               for dn in range(1, 11)),
+                "pairs": sum(n - dn for dn in range(1, 11)), **singles, "T": n,
+                "delta_n": list(range(1, 11))}
+            read = A.g2_auto_estimate(tables, "READ", dt).counts
+            assert (read["N_coinc"], read["N_1"], read["N_2"], read["T"]) == (
+                int((r1 & r2).sum()), int(r1.sum()), int(r2.sum()), len(r1))
+            auto_write += [int((w1 & w2).sum()), int(w1.sum()), int(w2.sum()),
+                           len(w1)]
+        write = A.g2_auto_estimate(tables, "WRITE").counts
+        assert ([write[key] for key in ("N_coinc", "N_1", "N_2", "T")]
+                == auto_write.tolist())
+        assert write["N_coinc"] > 0 and min(
+            t.counters()["N_WR"] for t in tables.values()) > 0
 
-    # record order and repeated records do not matter to the analysis
-    rng = np.random.default_rng(3)
-    recs = stream.records
-    messy = np.concatenate([recs, recs[rng.choice(len(recs), len(recs) // 5)]])
-    rng.shuffle(messy)
-    again = A.tabulate(tags.TagStream(stream.config_hash, stream.trial_count, messy), cfg)
-    for dt in settings:
-        assert again[dt].counters() == tables[dt].counters()
-        for name in ("w1", "w2", "r1", "r2"):
-            assert np.array_equal(getattr(again[dt], name), getattr(tables[dt], name))
+        # record order and repeated records do not matter to the analysis
+        rng = np.random.default_rng(3)
+        recs = stream.records
+        messy = np.concatenate([recs, recs[rng.choice(len(recs), len(recs) // 5)]])
+        rng.shuffle(messy)
+        again = A.tabulate(tags.TagStream(stream.config_hash, stream.trial_count, messy),
+                           cfg, read_window_ns)
+        for dt in settings:
+            assert again[dt].counters() == tables[dt].counters()
+            for name in ("clicked", "patterns"):
+                assert np.array_equal(getattr(again[dt], name), getattr(tables[dt], name))
 
 
 def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):

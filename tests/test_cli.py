@@ -135,8 +135,12 @@ class TestExitCodes:
         '{"protocol": {"delta_t_list_ns": 100}}',
         f'{{"protocol": {{"p_pair": {10 ** 400}}}}}',
         f'{{"protocol": {{"delta_t_list_ns": [{10 ** 400}]}}}}',
+        f'{{"protocol": {{"trials": {10 ** 29}}}}}',
+        '{"heating": {"n_base": 1e5}}',
+        '{"heating": {"n_base": 1e300}}',
     ], ids=["float-trials", "string-p_pair", "null-a_heat", "bool-seed",
-            "scalar-delays", "huge-int-p_pair", "huge-int-delay"])
+            "scalar-delays", "huge-int-p_pair", "huge-int-delay", "huge-trials",
+            "hot-n_base", "huge-n_base"])
     def test_mistyped_config_is_2(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -117,6 +117,30 @@ def test_high_pair_rate_accepted():
         assert table.probs.sum() == pytest.approx(1.0, abs=protocol.PROB_SUM_TOL)
 
 
+def test_trials_bound_is_the_counter_range():
+    # every (trial, draw) counter, trial * 8 + draw + 1, is a distinct uint64
+    cfg = C.default_config()
+    for delays in ((100.0,), (100.0, 200.0)):
+        largest = (2 ** 61 - 1) // len(delays)
+        C.check(cfg.replace(protocol=dataclasses.replace(
+            cfg.protocol, delta_t_list_ns=delays, trials=largest)))
+        with pytest.raises(C.ConfigError, match="protocol.trials"):
+            C.check(cfg.replace(protocol=dataclasses.replace(
+                cfg.protocol, delta_t_list_ns=delays, trials=largest + 1)))
+
+
+def test_largest_occupations_build():
+    from phononherald import protocol
+    cfg = C.default_config()
+    hot = cfg.replace(heating=dataclasses.replace(
+        cfg.heating, n_base=1e4, a_heat=1e4, read_heat=1e4))
+    C.check(hot)
+    for delta_t in (0.0, 100.0, 1500.0, 1e6):
+        table = protocol.build_outcome_table(hot, delta_t)
+        assert table.probs.sum() == pytest.approx(1.0, abs=protocol.PROB_SUM_TOL)
+    assert protocol.simulate_thermometry(hot, 20_000).clicks_red > 0
+
+
 @pytest.mark.parametrize("chain_fields,fragment", [
     ({"leak_fraction": 1.0}, "chain.leak_fraction: 1.0 outside [0, 1)"),
     ({"eta_c": 1.0, "eta_fc": 1.0, "eta_qe1": 1.0, "eta_qe2": 1.0,

@@ -80,3 +80,22 @@ def test_pure_function_of_counter(seed, start, draw):
     a = rng.uniforms(seed, idx, draw)
     assert np.array_equal(a, rng.uniforms(seed, idx, draw))
     assert np.all((0.0 <= a) & (a < 1.0))
+
+
+def test_matches_scalar_splitmix64_and_leaves_inputs():
+    # the array code hashes in place; it must equal the textbook splitmix64
+    # of seed + counter * golden and never write to the caller's indices
+    def reference(seed, trial, draw):
+        mask = 2 ** 64 - 1
+        x = (seed + (trial * rng.DRAWS_PER_TRIAL + draw + 1) * 0x9E3779B97F4A7C15) & mask
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+        return ((x ^ (x >> 31)) >> 11) * 2.0 ** -53
+
+    idx = np.array([0, 1, 2 ** 40 + 7, 2 ** 61 - 1], dtype=np.uint64)
+    draws = np.array([0, 3, 7, 5])
+    kept = idx.copy()
+    got = rng.uniforms(2 ** 64 - 3, idx, draws)
+    assert np.array_equal(idx, kept)
+    assert got.tolist() == [reference(2 ** 64 - 3, int(t), int(d))
+                            for t, d in zip(kept, draws)]
