@@ -75,7 +75,8 @@ def _manifest(cfg, subcommand, args, inputs, outputs) -> dict:
         "outputs": [str(p) for p in outputs],
         "overrides": {k: v for k, v in vars(args).items()
                       if k in ("seed", "trials", "delta_t_ns", "read_window_ns",
-                               "delta_n", "threads", "figure") and v is not None},
+                               "delta_n", "threads", "figure", "pulses")
+                      and v is not None},
     }
 
 

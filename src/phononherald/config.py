@@ -24,8 +24,8 @@ MIN_WINDOW_NS = 0.001  # one picosecond, the unit of a click time
 # every (trial, draw) counter of a stream is a distinct uint64, and so is the
 # header's trial count
 MAX_TRIALS = 2 ** 64 // DRAWS_PER_TRIAL
-# ~8x a room-temperature occupation of the 5.3 GHz mode; from ~2e4 quanta
-# the covariance matrices fail their symmetry check in float64
+# ~8x a room-temperature occupation of the 5.3 GHz mode, hotter than any
+# run of the experiment
 MAX_OCCUPATION = 1e4
 
 

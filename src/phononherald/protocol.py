@@ -5,10 +5,12 @@ For a given configuration and write->read delay, the full quantum pipeline
 detection, absorption-heating rethermalization, beam-splitter read-out,
 read-side detection) is collapsed into a 16-entry table of joint click
 patterns (W1, W2, R1, R2), indexed by one bit rule (``SLOT_BITS``) that
-the sampler and the analysis share. Every step is a Gaussian channel, so
-the table is closed form: inclusion-exclusion over vacuum probabilities of
-subsets of silent detectors (Quesada, Arrazola & Killoran, PRA 98, 062322
-(2018)); the Fock engine in ``fock`` is the tests' oracle. Each trial then
+the sampler and the analysis share. Every step is a Gaussian channel, and
+the detectors see one phase-insensitive two-mode Gaussian state of the
+write and read photons, so the table is closed form: inclusion-exclusion
+(Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)) over the no-click
+probabilities that ``gaussian`` gives for each subset of silent detectors;
+the Fock engine in ``fock`` is the tests' oracle. Each trial then
 draws one counter-based deterministic uniform that decides silent or click
 against P(no click); only the ~1e-3 of trials that click go on to pick their
 pattern from the table and draw click times, which makes 1e7+ trials cheap
@@ -95,24 +97,20 @@ class OutcomeTable:
 def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeTable:
     """Run the write/heat/read pipeline into a 16-pattern click table.
 
-    Modes: 0 mechanics, 1 write photon, 2 read photon. Write detection acts
-    on mode 1 only and commutes with the later heating and read steps on
-    modes 0 and 2, so one three-mode state carries every joint pattern.
+    Write detection acts on the write photon only and commutes with the
+    later heating and read steps, so the two-mode state of
+    ``gaussian.detected_moments`` carries every joint pattern.
     """
     proto = config.protocol
     heat = config.heating
     delta_n = heating_occupation(delta_t_ns, heat) - heat.n_base + heat.read_heat
     delta_n = max(delta_n, 0.0)
-
-    state = gaussian.set_thermal(gaussian.CovarianceState.vacuum(3), 0, heat.n_base)
-    written = gaussian.two_mode_squeeze(state, 0, 1, np.arcsinh(np.sqrt(proto.p_pair)))
-    heated = gaussian.add_noise(written, 0, delta_n)
-    read = gaussian.beam_splitter(heated, 0, 2, proto.eps_read)
+    moments = gaussian.detected_moments(proto.p_pair, heat.n_base, delta_n,
+                                        proto.eps_read)
 
     eta_w, log_b_w = silent_subsets(config, config.chain.window_write_ns)
     eta_r, log_b_r = silent_subsets(config, config.chain.window_read_ns)
-    etas = np.stack(np.meshgrid(eta_w, eta_r, indexing="ij"), axis=-1).reshape(16, 2)
-    log_silent = (gaussian.log_vacuum_probability(read, (1, 2), etas).reshape(4, 4)
+    log_silent = (gaussian.log_no_click(*moments, eta_w, eta_r)
                   + np.add.outer(log_b_w, log_b_r))
     # silent probabilities lie within ~1e-3 of 1 and cancel to click patterns
     # as small as ~1e-13: sum their complements (click rows sum to 0)
@@ -223,10 +221,11 @@ class ThermometryResult:
 
 def _sideband_silent_prob(config: ExperimentConfig, n_bar: float) -> float:
     """P(no write-window click) on a thermal optical mode of occupation
-    n_bar: the background-silent factor times the vacuum probability after
-    loss eta, 1 / (1 + eta * n_bar)."""
+    n_bar: the background-silent factor times the no-click probability of
+    the tables' two-mode formula with the read photon left out (n_r = d = 0),
+    1 / (1 + eta * n_bar)."""
     eta, log_b = silent_subsets(config, config.chain.window_write_ns)
-    return float(np.exp(log_b[3] - np.log1p(eta[3] * n_bar)))
+    return float(np.exp(log_b[3] + gaussian.log_no_click(n_bar, 0.0, 0.0, eta[3], 0.0)))
 
 
 def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryResult:

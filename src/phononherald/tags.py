@@ -6,9 +6,9 @@ Records (24 bytes each): trial_index u64, detector u8, pulse_label u8,
 reserved u16 = 0, time_ps u64, pad u32 = 0.
 
 ``read_tagstream`` validates every record's fields but not the record
-order or uniqueness that the sampler produces: the analysis reduces each
-channel to sorted, unique trial indices, so its results depend on
-neither.
+order or uniqueness that the sampler produces: the analysis ORs each
+trial's records into one click pattern per clicked trial, so its results
+depend on neither.
 """
 
 from __future__ import annotations

@@ -48,13 +48,13 @@ def test_criterion_1_engine_equivalence():
                     fst.mean_occupation("A"), fst.mean_occupation("B"),
                     float(p.sum(axis=1)[0]), float(p.sum(axis=0)[0]),
                     float(p[0, 0])])
-                gst = G.set_thermal(G.CovarianceState.vacuum(2), 0, n_bar)
-                gst = G.loss(G.two_mode_squeeze(gst, 0, 1, r), 1, eta)
-                # a zero efficiency leaves a mode out of the vacuum projection
-                no_click = np.exp(G.log_vacuum_probability(
-                    gst, (0, 1), [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-                gauss = np.array([gst.mean_occupation(0),
-                                  gst.mean_occupation(1), *no_click])
+                # mode B is the write photon, mode A the mechanics, which
+                # is the read photon at eps 1 without heating; a zero
+                # efficiency leaves a photon out of the vacuum projection
+                n_w, n_r, d = G.detected_moments(np.sinh(r) ** 2, n_bar, 0.0, 1.0)
+                no_click = np.exp(G.log_no_click(n_w, n_r, d, [0.0, eta], [0.0, 1.0]))
+                gauss = np.array([n_r, eta * n_w, no_click[0, 1], no_click[1, 0],
+                                  no_click[1, 1]])
                 worst = max(worst, float(np.abs(fock - gauss).max()))
     elapsed = time.time() - t0
     report(1, "Fock vs Gaussian engine agreement",

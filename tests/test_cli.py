@@ -287,6 +287,12 @@ class TestThermometryCommand:
         assert report["ideal_asymmetry"] > 40
         assert report["n_th"]["value"] >= 0.0
 
+    def test_manifest_records_pulses(self, tmp_path):
+        out = tmp_path / "therm.json"
+        assert run(["thermometry", "--pulses", 20_000, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "therm.json.manifest.json").read_text())
+        assert manifest["overrides"]["pulses"] == 20_000
+
     def test_zero_base_occupation_is_strict_json(self, tmp_path):
         # with n_base = 0 the ideal red click probability is 0: the ideal
         # asymmetry is written as null, without a numeric warning
