@@ -17,10 +17,9 @@ def main():
     args = ap.parse_args()
 
     cfg = C.default_config()
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
     try:
-        C.check(cfg)
+        if args.seed is not None:
+            cfg = cfg.replace(seed=args.seed)
     except C.ConfigError as exc:
         ap.error(f"config error: {exc}")
     print(f"true occupation: {cfg.heating.n_base}")

@@ -23,15 +23,12 @@ import numpy as np
 
 from . import tags
 from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
-from .protocol import MASKS, SLOT_BITS, read_window_start_ps
+from .protocol import (MASKS, SLOT_BITS, EstimatorError, g2_ratio,
+                       read_window_start_ps)
 
 TAIL_MASS = 0.16
 BOUND_GRID_POINTS = 4096
 BOUND_GRID_RANGE = (1e-3, 1e3)
-
-
-class EstimatorError(Exception):
-    """Undefined estimate (zero singles, empty table, pole, ...)."""
 
 
 class DegenerateCountsError(EstimatorError):
@@ -168,10 +165,8 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
 
 def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> CorrelationEstimate:
     """g = P(coincidence) / (P1 * P2) with singles n_1, n_2 out of n_trials."""
-    if n_1 == 0 or n_2 == 0:
-        raise EstimatorError("zero single-event probability")
+    scale = g2_ratio(1.0, n_1, n_2, n_trials)
     p_ml, s_minus, s_plus = binomial_ci(n_coinc, n_pairs)
-    scale = 1.0 / ((n_1 / n_trials) * (n_2 / n_trials))
     return CorrelationEstimate(p_ml * scale, s_minus * scale, s_plus * scale, counts)
 
 
@@ -234,7 +229,8 @@ def _g_log_likelihood(n_coinc, n_pairs, scale, t_grid):
     n_miss = n_pairs - n_coinc    # Beta(N+1, T-N+1) density, in log space
     log_f = (xlogy(n_coinc, p) + xlog1py(n_miss, -np.minimum(p, 1.0))
              - betaln(n_coinc + 1, n_miss + 1))
-    f = np.where(p <= 1.0, np.exp(log_f), 0.0)
+    # p > 1 is impossible: zero mass, without exp overflowing out there
+    f = np.exp(np.where(p <= 1.0, log_f, -np.inf))
     norm = np.trapezoid(f, t_grid)
     if norm <= 0:
         raise EstimatorError("autocorrelation likelihood has no mass on the grid")
@@ -253,7 +249,7 @@ def classical_bound(auto_write: CorrelationEstimate,
         c = est.counts
         if c.get("T", 0) < 1:
             raise EstimatorError("autocorrelation counts missing trial total")
-        scale = 1.0 / ((c["N_1"] / c["T"]) * (c["N_2"] / c["T"]))
+        scale = g2_ratio(1.0, c["N_1"], c["N_2"], c["T"])
         sides.append((c["N_coinc"], c["T"], scale))
     if sides[0][0] == 0 and sides[1][0] == 0:
         raise DegenerateCountsError(

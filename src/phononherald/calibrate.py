@@ -43,6 +43,8 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     g_target = np.array([p[1] for p in targets], dtype=float)
     if not (np.isfinite(delta_ts).all() and np.isfinite(g_target).all()):
         raise ConfigError("calibration target: points must be finite")
+    if (delta_ts < 0).any():
+        raise ConfigError("calibration target: delays must be >= 0")
 
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))

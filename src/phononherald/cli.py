@@ -44,21 +44,14 @@ def _setup_logging():
 
 def _load_config(args) -> config_mod.ExperimentConfig:
     cfg = config_mod.load(args.config) if args.config else config_mod.default_config()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     proto = cfg.protocol
     if getattr(args, "trials", None) is not None:
         proto = dataclasses.replace(proto, trials=args.trials)
     if getattr(args, "delta_t_ns", None):
         proto = dataclasses.replace(
             proto, delta_t_list_ns=tuple(args.delta_t_ns))
-    if proto is not cfg.protocol:
-        overrides["protocol"] = proto
-    if overrides:
-        cfg = cfg.replace(**overrides)
-    config_mod.check(cfg)
-    return cfg
+    seed = getattr(args, "seed", None)
+    return cfg.replace(protocol=proto, seed=cfg.seed if seed is None else seed)
 
 
 def _manifest(cfg, subcommand, args, inputs, outputs) -> dict:
@@ -268,13 +261,15 @@ def _reproduce_m3(cfg, args, out_dir: Path):
                       + [["short", t, c] for t, c in zip(short_grid, c_short)])
     decay = analysis.fit_exponential(long_grid, c_long, "decay")
     rise = analysis.fit_exponential(short_grid, c_short, "saturating-rise")
+    def tau(fit):  # a flat series has no time constant (inf): written as null
+        return fit.time_constant if np.isfinite(fit.time_constant) else None
     fit_path = out_dir / "m3_fits.json"
     fit_path.write_text(json.dumps({
-        "decay_time_constant_us": decay.time_constant,
-        "rise_time_constant_us": rise.time_constant,
+        "decay_time_constant_us": tau(decay),
+        "rise_time_constant_us": tau(rise),
         "decay_rms_residual": decay.rms_residual,
         "rise_rms_residual": rise.rms_residual,
-    }, indent=2) + "\n")
+    }, indent=2, allow_nan=False) + "\n")
     return [path, fit_path]
 
 

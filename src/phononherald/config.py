@@ -123,6 +123,9 @@ class ExperimentConfig:
     numerics: NumericsParams = field(default_factory=NumericsParams)
     seed: int = _number(10, ge=0, lt=2 ** 64)
 
+    def __post_init__(self):  # every config that exists is valid
+        check(self)
+
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["protocol"]["delta_t_list_ns"] = list(self.protocol.delta_t_list_ns)
@@ -183,8 +186,9 @@ def _field_error(value, integer, lo, lo_open, hi, hi_open):
 
 def check(config: ExperimentConfig) -> None:
     """Raise ConfigError naming each field outside its declared kind and
-    range, else each broken cross-field rule. Values are not coerced, so a
-    valid config keeps its canonical JSON and hash."""
+    range, else each broken cross-field rule; every ExperimentConfig runs it
+    when built. Values are not coerced, so a valid config keeps its
+    canonical JSON and hash."""
     errors = []
     for path, value, f in _declared_numbers(config):
         error = _field_error(value, f.type == "int", *f.metadata["range"])
@@ -244,15 +248,11 @@ def from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError("protocol.delta_t_list_ns: expected a list")
             section["delta_t_list_ns"] = tuple(section["delta_t_list_ns"])
         kwargs[key] = cls(**section)
-    config = ExperimentConfig(**kwargs)
-    check(config)
-    return config
+    return ExperimentConfig(**kwargs)
 
 
 def default_config() -> ExperimentConfig:
-    config = ExperimentConfig()
-    check(config)
-    return config
+    return ExperimentConfig()
 
 
 def load(path) -> ExperimentConfig:

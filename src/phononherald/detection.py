@@ -37,13 +37,7 @@ def silent_subsets(config: ExperimentConfig, window_ns: float):
     e1, e2 = chain.detector_efficiency(1), chain.detector_efficiency(2)
     dark = chain.dark_prob(window_ns)
     leak = chain.leak_mean_photons(config.protocol.p_pair)
-    # written so that NaN fails too: callers may pass unchecked configs
-    if not (0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0 and e1 + e2 <= 1.0 + 1e-12
-            and 0.0 <= dark < 1.0 and leak >= 0.0):
-        raise ValueError(f"detector model out of range: efficiencies {e1}, {e2} "
-                         f"(each in [0, 1], sum <= 1), dark probability {dark} "
-                         f"(in [0, 1)), leak mean {leak} (>= 0)")
     log_dark = float(np.log1p(-dark))
     l1, l2 = log_dark - e1 * leak, log_dark - e2 * leak
-    return (np.array([0.0, e1, e2, min(e1 + e2, 1.0)]),
+    return (np.array([0.0, e1, e2, e1 + e2]),
             np.array([0.0, l1, l2, l1 + l2]))

@@ -32,6 +32,10 @@ PROB_SUM_TOL = 1e-9
 SAMPLE_CHUNK = 1_000_000
 
 
+class EstimatorError(Exception):
+    """Undefined estimate (zero singles, empty table, pole, ...)."""
+
+
 # a click in record slot 2*pulse_label + detector (W1, W2, R1, R2) sets bit
 # SLOT_BITS[slot] = 8 >> slot of its trial's pattern
 SLOT_BITS = (8 >> np.arange(4)).astype(np.uint8)
@@ -40,6 +44,15 @@ _W1, _W2, _R1, _R2 = ((np.arange(16)[:, None] & SLOT_BITS) != 0).T
 MASKS = {"W1": _W1, "W2": _W2, "R1": _R1, "R2": _R2,
          "W1W2": _W1 & _W2, "R1R2": _R1 & _R2,
          "W": _W1 | _W2, "R": _R1 | _R2, "WR": (_W1 | _W2) & (_R1 | _R2)}
+
+
+def g2_ratio(both, one, two, total=1.0) -> float:
+    """P(both) / (P(one) * P(two)), each given as a count (or probability)
+    out of ``total``: the one g2 rule of the model tables and the data."""
+    singles = (one / total) * (two / total) if one and two else 0.0
+    if singles == 0.0:  # a zero single, or a product below the float range
+        raise EstimatorError("zero single-event probability")
+    return both / singles
 
 
 def heating_occupation(delta_t_ns: float, heating) -> float:
@@ -79,7 +92,7 @@ class OutcomeTable:
         """P(both) / (P(one) * P(two)) over the patterns of those MASKS."""
         p_one, p_two, p_both = (float(self.probs[MASKS[k]].sum())
                                 for k in (one, two, both))
-        return p_both / (p_one * p_two)
+        return g2_ratio(p_both, p_one, p_two)
 
     def g2_cross_implied(self) -> float:
         return self._g2("W", "R", "WR")

@@ -92,16 +92,11 @@ def read_tagstream(path) -> TagStream:
     if len(records) != record_count:
         raise TagFormatError(
             f"header promises {record_count} records, file holds {len(records)}")
-    bad_det = records["detector"] > 1
-    if bad_det.any():
-        pos = HEADER_STRUCT.size + int(np.argmax(bad_det)) * RECORD_SIZE
-        raise TagFormatError(f"invalid detector id at position {pos}")
-    bad_label = records["pulse_label"] > 1
-    if bad_label.any():
-        pos = HEADER_STRUCT.size + int(np.argmax(bad_label)) * RECORD_SIZE
-        raise TagFormatError(f"invalid pulse label at position {pos}")
-    bad_trial = records["trial_index"] >= trial_count
-    if bad_trial.any():
-        pos = HEADER_STRUCT.size + int(np.argmax(bad_trial)) * RECORD_SIZE
-        raise TagFormatError(f"trial index beyond header trial count at position {pos}")
+    for bad, what in ((records["detector"] > 1, "invalid detector id"),
+                      (records["pulse_label"] > 1, "invalid pulse label"),
+                      (records["trial_index"] >= trial_count,
+                       "trial index beyond header trial count")):
+        if bad.any():
+            pos = HEADER_STRUCT.size + int(np.argmax(bad)) * RECORD_SIZE
+            raise TagFormatError(f"{what} at position {pos}")
     return TagStream(cfg_hash, trial_count, records.copy())

@@ -1,15 +1,20 @@
 """End-to-end CLI runs, exit codes, run manifests."""
 
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phononherald
 from phononherald import cli, config as config_mod
@@ -45,6 +50,11 @@ def loaded_modules(argv=()):
                           timeout=120, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules)
+
+
+def reject_constant(constant):
+    """``parse_constant`` hook: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def scipy_modules(modules):
@@ -306,9 +316,7 @@ class TestThermometryCommand:
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr
 
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-        report = json.loads(out.read_text(), parse_constant=reject)
+        report = json.loads(out.read_text(), parse_constant=reject_constant)
         assert report["ideal_asymmetry"] is None
 
     def test_bad_pulses_is_2(self, tmp_path):
@@ -337,6 +345,41 @@ class TestReproduce:
         assert fits["decay_time_constant_us"] == pytest.approx(34.4, rel=0.05)
         assert fits["rise_time_constant_us"] == pytest.approx(0.37, rel=0.1)
 
+    def test_m3_flat_curves_are_strict_json(self, tmp_path, monkeypatch):
+        # without heating both curves are flat and have no time constant:
+        # it is written as null, not as the non-standard Infinity
+        monkeypatch.chdir(tmp_path)
+        Path("cold.json").write_text('{"heating": {"a_heat": 0.0}}')
+        assert run(["reproduce", "--figure", "m3", "--config", "cold.json",
+                    "--out", "figs"]) == 0
+        fits = json.loads(Path("figs/m3_fits.json").read_text(),
+                          parse_constant=reject_constant)
+        assert fits["decay_time_constant_us"] is None
+        assert fits["rise_time_constant_us"] is None
+
+    @pytest.mark.parametrize("config,argv,output", [
+        ('{"chain": {"eta_qe1": 0.0, "dark_rate_hz": 0.0}}',
+         ["reproduce", "--figure", "fig3c", "--out", "figs"],
+         "figs/fig3c_correlation_decay.csv"),
+        ('{"protocol": {"p_pair": 0.0}, "chain": {"dark_rate_hz": 0.0}}',
+         ["reproduce", "--figure", "fig3c", "--out", "figs"],
+         "figs/fig3c_correlation_decay.csv"),
+        ('{"protocol": {"p_pair": 0.0}, "chain": {"dark_rate_hz": 0.0}}',
+         ["calibrate-heating", "--target", "target.csv", "--out", "fit.json"],
+         "fit.json"),
+    ], ids=["dead-detector-fig3c", "no-pairs-fig3c", "no-pairs-calibrate"])
+    def test_zero_model_single_is_5(self, tmp_path, monkeypatch, capsys, config,
+                                    argv, output):
+        # a model g2 with a zero single is undefined, as a data g2 is
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text(config)
+        Path("target.csv").write_text("delta_t_ns,g2_om\n100,8.0\n")
+        assert run(argv + ["--config", "bad.json"]) == 5
+        err = capsys.readouterr().err
+        assert "degenerate statistics: zero single-event probability" in err
+        assert "Traceback" not in err
+        assert not Path(output).exists()
+
 
 class TestCalibrateHeating:
     def test_round_trip(self, tmp_path):
@@ -354,14 +397,17 @@ class TestCalibrateHeating:
         "delta_t_ns,g2\n100.0,8.0\n",
         "delta_t_ns,g2_om\n100.0\n",
         "delta_t_ns,g2_om\n100.0,nan\n",
-    ], ids=["no-g2_om-column", "short-row", "nan-target"])
+        "delta_t_ns,g2_om\n-100,8.0\n",
+    ], ids=["no-g2_om-column", "short-row", "nan-target", "negative-delay"])
     def test_malformed_target_is_2(self, tmp_path, capsys, text):
         target = tmp_path / "target.csv"
         target.write_text(text)
         out = tmp_path / "fit.json"
         assert run(["calibrate-heating", "--target", target, "--out", out]) == 2
         assert not out.exists()
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["thermometry", "--config", "bad.bin", "--out", "t.json"],
@@ -380,3 +426,71 @@ class TestCalibrateHeating:
         target.write_text("delta_t_ns,g2_om\n100.0,5000.0\n")
         assert run(["calibrate-heating", "--target", target,
                     "--out", tmp_path / "fit.json"]) == 3
+
+
+# each number's edges: 0 and the largest valid value (dark counts: a 0.99
+# dark probability in the default 55 ns read window), the shortest windows,
+# a zero delay alone and next to a 1 s one
+_EDGES = {
+    ("protocol", "p_pair"): (0.0, 1.0),
+    ("protocol", "eps_read"): (0.0, 1.0),
+    ("heating", "n_base"): (0.0, config_mod.MAX_OCCUPATION),
+    ("heating", "a_heat"): (0.0, config_mod.MAX_OCCUPATION),
+    ("heating", "read_heat"): (0.0, config_mod.MAX_OCCUPATION),
+    ("chain", "dark_rate_hz"): (0.0, 1.8e7),
+    ("chain", "eta_qe1"): (0.0, 1.0),
+    ("chain", "eta_qe2"): (0.0, 1.0),
+    ("chain", "leak_fraction"): (0.0, 0.999999),
+    ("chain", "window_write_ns"): (config_mod.MIN_WINDOW_NS,),
+    ("chain", "window_read_ns"): (config_mod.MIN_WINDOW_NS,),
+    ("protocol", "delta_t_list_ns"): ((0.0,), (0.0, 1e9)),
+}
+_TARGETS = ("100,8.0\n", "100,8.0\n700,6.0\n", "0,1.0\n1e9,1.0\n", "-100,8.0\n")
+
+
+def _stages(d):
+    """Every subcommand, small, with its outputs under directory ``d``."""
+    return (
+        ["simulate", "--trials", 3000, "--out", d / "s.tags"],
+        ["analyze", d / "s.tags", "--trials", 3000, "--delta-n", 2,
+         "--out", d / "analysis"],
+        ["thermometry", "--pulses", 4000, "--out", d / "thermometry.json"],
+        ["reproduce", "--figure", "fig2", "--trials", 4000, "--out", d / "figs"],
+        ["reproduce", "--figure", "fig3b", "--trials", 3000, "--out", d / "figs"],
+        ["reproduce", "--figure", "fig3c", "--out", d / "figs"],
+        ["reproduce", "--figure", "m3", "--out", d / "figs"],
+        ["calibrate-heating", "--target", d / "target.csv", "--out", d / "fit.json"],
+    )
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    path: st.sampled_from(values) for path, values in _EDGES.items()}),
+    st.sampled_from(_TARGETS))
+@example({("chain", "eta_qe1"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0])
+@example({("protocol", "p_pair"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0])
+@example({}, _TARGETS[-1])
+@example({("heating", "a_heat"): 0.0}, _TARGETS[0])
+def test_every_stage_keeps_the_exit_code_contract(edges, target):
+    # in process, on edge-value configs: every subcommand exits with a
+    # documented code, lets no exception escape and writes strict JSON
+    config = {}
+    for (section, name), value in edges.items():
+        config.setdefault(section, {})[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(config))
+        (tmp / "target.csv").write_text("delta_t_ns,g2_om\n" + target)
+        for argv in _stages(tmp):
+            argv += ["--config", tmp / "config.json"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # argparse's usage error only
+                    code = exc.code
+                    assert code == 2, argv
+            assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+        for path in tmp.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject_constant)

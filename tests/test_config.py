@@ -84,23 +84,19 @@ def test_invalid_json_rejected(tmp_path):
     ("numerics", "n_max", 1, "must be >= 2"),
 ])
 def test_field_validation(section, field, value, fragment):
+    # a config checks itself when built, so the replace raises
     cfg = C.default_config()
-    bad = cfg.replace(**{section: dataclasses.replace(
-        getattr(cfg, section), **{field: value})})
-    with pytest.raises(C.ConfigError, match=f"{section}.{field}"):
-        C.check(bad)
-    try:
-        C.check(bad)
-    except C.ConfigError as exc:
-        assert fragment in str(exc)
+    bad = dataclasses.replace(getattr(cfg, section), **{field: value})
+    with pytest.raises(C.ConfigError, match=f"{section}.{field}") as exc:
+        cfg.replace(**{section: bad})
+    assert fragment in str(exc.value)
 
 
 def test_delta_t_list_must_ascend():
     cfg = C.default_config()
-    bad = cfg.replace(protocol=dataclasses.replace(
-        cfg.protocol, delta_t_list_ns=(200.0, 100.0)))
     with pytest.raises(C.ConfigError, match="ascending"):
-        C.check(bad)
+        cfg.replace(protocol=dataclasses.replace(
+            cfg.protocol, delta_t_list_ns=(200.0, 100.0)))
 
 
 def test_high_pair_rate_accepted():
@@ -150,9 +146,8 @@ def test_largest_occupations_build():
 ], ids=["leak-fraction-1", "efficiency-sum", "dark-read-window", "dark-both-windows"])
 def test_detection_chain_gaps_rejected(chain_fields, fragment):
     cfg = C.default_config()
-    bad = cfg.replace(chain=dataclasses.replace(cfg.chain, **chain_fields))
     with pytest.raises(C.ConfigError) as exc:
-        C.check(bad)
+        cfg.replace(chain=dataclasses.replace(cfg.chain, **chain_fields))
     assert fragment in str(exc.value)
 
 

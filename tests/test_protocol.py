@@ -8,7 +8,7 @@ import pytest
 
 from phononherald import analysis, protocol, tags
 from phononherald import fock as F
-from phononherald.config import ExperimentConfig
+from phononherald.config import ConfigError, ExperimentConfig
 from phononherald.detection import silent_subsets
 
 
@@ -65,6 +65,16 @@ class TestOutcomeTable:
         with pytest.raises(ValueError, match="sums to"):
             protocol.OutcomeTable(100.0, table.probs * 0.5)
 
+    def test_zero_single_undefined(self):
+        # nothing ever clicks: every model g2 is undefined, as in the data
+        probs = np.zeros(16)
+        probs[0] = 1.0
+        silent = protocol.OutcomeTable(100.0, probs)
+        for implied in (silent.g2_cross_implied, silent.g2_auto_write_implied,
+                        silent.classical_bound_implied):
+            with pytest.raises(analysis.EstimatorError, match="zero single"):
+                implied()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_table_rejected(self, table, bad):
         with pytest.raises(ValueError, match="sums to"):
@@ -85,15 +95,12 @@ class TestOutcomeTable:
     ], ids=["efficiency-above-1", "negative-efficiency", "efficiency-sum",
             "nan-efficiency", "dark-probability", "negative-dark", "negative-leak"])
     def test_detector_model_range_checked(self, chain):
-        # configs built directly skip config.check; the detector model
-        # still refuses them instead of yielding a NaN table
+        # the detector model has no range check of its own: a config checks
+        # itself when built, so a chain it cannot model never reaches it
         unit = {"eta_fc": 1.0, "eta_c": 1.0, "eta_qe1": 1.0, "eta_qe2": 1.0}
         default_chain = ExperimentConfig().chain
-        cfg = ExperimentConfig(chain=dataclasses.replace(default_chain, **unit, **chain))
-        with pytest.raises(ValueError, match="detector model out of range"):
-            silent_subsets(cfg, cfg.chain.window_read_ns)
-        with pytest.raises(ValueError, match="detector model out of range"):
-            protocol.build_outcome_table(cfg, 100.0)
+        with pytest.raises(ConfigError, match=r"^chain\."):
+            ExperimentConfig(chain=dataclasses.replace(default_chain, **unit, **chain))
 
 
 class TestSampling:
