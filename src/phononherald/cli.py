@@ -92,27 +92,42 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# summary.json keys of the estimates, in the order it lists them
+_ESTIMATES = ("g2_om", "g2_auto_write", "g2_auto_read", "classical_bound",
+              "cauchy_schwarz", "delta_n", "delta_n_pooled")
+
+
+def _estimate(entry, key, fn, *args):
+    """entry[key] = fn(*args); an undefined estimate is left out, and the
+    first one's message goes under entry["error"]."""
+    try:
+        entry[key] = fn(*args)
+    except analysis.EstimatorError as exc:
+        entry.setdefault("error", str(exc))
+
+
 def _analyze_tables(trial_tables, delta_n_max):
+    """Each setting's counters and every estimate that its counts define."""
+    offsets = list(range(1, delta_n_max + 1))
     results = []
     for delta_t, table in trial_tables.items():
         entry = {"delta_t_ns": delta_t, "counters": table.counters()}
-        try:
-            cross = analysis.g2_cross_estimate(table, 0)
-            auto_w = analysis.g2_auto_estimate(trial_tables, "WRITE")
-            auto_r = analysis.g2_auto_estimate(trial_tables, "READ", delta_t)
-            bound = analysis.classical_bound(auto_w, auto_r)
-            verdict = analysis.cauchy_schwarz_test(cross, bound)
-        except analysis.EstimatorError as exc:
-            entry["error"] = str(exc)
-            results.append(entry)
-            continue
-        entry.update(cross=cross, auto_write=auto_w, auto_read=auto_r,
-                     bound=bound, verdict=verdict)
-        if delta_n_max:
-            offsets = list(range(1, delta_n_max + 1))
-            entry["delta_n"] = {
-                dn: analysis.g2_cross_estimate(table, dn) for dn in offsets}
-            entry["delta_n_pooled"] = analysis.g2_cross_estimate(table, offsets)
+        _estimate(entry, "g2_om", analysis.g2_cross_estimate, table, 0)
+        _estimate(entry, "g2_auto_write", analysis.g2_auto_estimate,
+                  trial_tables, "WRITE")
+        _estimate(entry, "g2_auto_read", analysis.g2_auto_estimate,
+                  trial_tables, "READ", delta_t)
+        if "g2_auto_write" in entry and "g2_auto_read" in entry:
+            _estimate(entry, "classical_bound", analysis.classical_bound,
+                      entry["g2_auto_write"], entry["g2_auto_read"])
+        if "g2_om" in entry and "classical_bound" in entry:
+            entry["cauchy_schwarz"] = analysis.cauchy_schwarz_test(
+                entry["g2_om"], entry["classical_bound"])
+        if offsets:
+            _estimate(entry, "delta_n", lambda: {
+                dn: analysis.g2_cross_estimate(table, dn) for dn in offsets})
+            _estimate(entry, "delta_n_pooled", analysis.g2_cross_estimate,
+                      table, offsets)
         results.append(entry)
     return results
 
@@ -129,24 +144,22 @@ def _write_analysis_outputs(results, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, summary = [], []
     for entry in results:
-        item = {"delta_t_ns": entry["delta_t_ns"], "counters": entry["counters"]}
         if "error" in entry:
             rows.append([entry["delta_t_ns"]] + ["nan"] * 6 + ["false"])
-            item["error"] = entry["error"]
         else:
-            cross, bound = entry["cross"], entry["bound"]
+            cross, bound = entry["g2_om"], entry["classical_bound"]
             rows.append([entry["delta_t_ns"], cross.value, cross.sigma_minus,
                          cross.sigma_plus, bound.value, bound.sigma_minus,
-                         bound.sigma_plus, str(entry["verdict"].violated).lower()])
-            item["g2_om"] = cross.to_dict()
-            item["g2_auto_write"] = entry["auto_write"].to_dict()
-            item["g2_auto_read"] = entry["auto_read"].to_dict()
-            item["classical_bound"] = bound.to_dict()
-            item["cauchy_schwarz"] = entry["verdict"].to_dict()
-            if "delta_n" in entry:
-                item["delta_n"] = {str(dn): est.to_dict()
-                                   for dn, est in entry["delta_n"].items()}
-                item["delta_n_pooled"] = entry["delta_n_pooled"].to_dict()
+                         bound.sigma_plus,
+                         str(entry["cauchy_schwarz"].violated).lower()])
+        item = {"delta_t_ns": entry["delta_t_ns"], "counters": entry["counters"]}
+        for key in _ESTIMATES:
+            if key == "delta_n" and key in entry:
+                item[key] = {str(dn): est.to_dict() for dn, est in entry[key].items()}
+            elif key in entry:
+                item[key] = entry[key].to_dict()
+        if "error" in entry:
+            item["error"] = entry["error"]
         summary.append(item)
     csv_path = _write_csv(out_dir / "correlations.csv",
                           ["delta_t_ns", "g2_om", "ci_minus", "ci_plus", "bound",
@@ -229,7 +242,7 @@ def _reproduce_fig3b(cfg, args, out_dir: Path):
     entry = _analyze_tables(trial_tables, delta_n_max=10)[0]
     if "error" in entry:
         raise analysis.EstimatorError(f"fig3b at 100 ns: {entry['error']}")
-    cross, bound = entry["cross"], entry["bound"]
+    cross, bound = entry["g2_om"], entry["classical_bound"]
     rows = [[0, cross.value, cross.sigma_minus, cross.sigma_plus,
              bound.value, bound.sigma_minus, bound.sigma_plus]]
     rows += [[dn, est.value, est.sigma_minus, est.sigma_plus, "", "", ""]

@@ -10,11 +10,11 @@ the detectors see one phase-insensitive two-mode Gaussian state of the
 write and read photons, so the table is closed form: inclusion-exclusion
 (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)) over the no-click
 probabilities that ``gaussian`` gives for each subset of silent detectors;
-the Fock engine in ``fock`` is the tests' oracle. Each trial then
-draws one counter-based deterministic uniform that decides silent or click
-against P(no click); only the ~1e-3 of trials that click go on to pick their
-pattern from the table and draw click times, which makes 1e7+ trials cheap
-and embarrassingly parallel.
+the Fock engine in ``fock`` is the tests' oracle. Each trial's
+counter-based deterministic hash then decides silent or click against
+P(no click) (``rng.clicked``, an integer compare); only the ~1e-3 of trials
+that click get a float uniform, pick their pattern from the table and draw
+click times, which makes 1e7+ trials cheap and embarrassingly parallel.
 """
 
 from __future__ import annotations
@@ -142,19 +142,10 @@ def read_window_start_ps(config: ExperimentConfig, delta_t_ns: float) -> int:
     return int(round((config.chain.window_write_ns + delta_t_ns) * 1000.0))
 
 
-def _clicked_trials(p_silent: float, seed: int, start: int, stop: int):
-    """Trials of [start, stop) whose slot-0 uniform u clicks, u >= P(no
-    click), and their u: the only per-trial work of a chunk."""
-    idx = np.arange(start, stop, dtype=np.uint64)
-    u = rng.uniforms(seed, idx, 0)
-    clicked = u >= p_silent
-    return idx[clicked], u[clicked]
-
-
 def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
                   start: int, stop: int) -> np.ndarray:
     cdf = np.cumsum(table.probs)
-    trial, u = _clicked_trials(cdf[0], seed, start, stop)
+    trial, u = rng.clicked(cdf[0], seed, start, stop)  # u >= P(no click)
     patterns = np.searchsorted(cdf, u, side="right")
     patterns = np.minimum(patterns, 15)  # guard against cdf[-1] rounding below 1
     # row-major nonzero lists records in stream order (trial, label, detector)
@@ -265,10 +256,9 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryRe
     ideal_asym = blue_ideal / red_ideal if red_ideal > 0 else None
 
     def count_clicks(n_bar, offset):
-        p_silent, end = _sideband_silent_prob(config, n_bar), offset + per_color
-        return sum(_clicked_trials(p_silent, config.seed, start,
-                                   min(start + SAMPLE_CHUNK, end))[0].size
-                   for start in range(offset, end, SAMPLE_CHUNK))
+        trials, _ = rng.clicked(_sideband_silent_prob(config, n_bar),
+                                config.seed, offset, offset + per_color)
+        return trials.size
 
     _, log_b = silent_subsets(config, config.chain.window_write_ns)
     return ThermometryResult(per_color, count_clicks(n_blue, 0),

@@ -226,6 +226,25 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "error" in summary[0]
 
+    def test_undefined_bound_keeps_defined_estimates(self, tmp_path):
+        # at seed 2 and 1e6 trials neither window has a coincidence, so the
+        # bound is undefined, but one write-read coincidence defines g2_om
+        stream = tmp_path / "s2.tags"
+        common = ["--trials", 1_000_000, "--seed", 2]
+        assert run(["simulate", "--out", stream, *common]) == 0
+        out = tmp_path / "o"
+        assert run(["analyze", stream, "--out", out, "--delta-n", 2, *common]) == 5
+        entry, = json.loads((out / "summary.json").read_text())
+        assert "both autocorrelations have zero coincidences" in entry["error"]
+        assert entry["g2_om"]["counts"]["N_coinc"] == entry["counters"]["N_WR"] == 1
+        assert entry["g2_om"]["value"] > 0
+        for side in ("g2_auto_write", "g2_auto_read"):
+            assert entry[side]["counts"]["N_coinc"] == 0
+        assert "classical_bound" not in entry and "cauchy_schwarz" not in entry
+        assert set(entry["delta_n"]) == {"1", "2"} and "delta_n_pooled" in entry
+        row = (out / "correlations.csv").read_text().splitlines()[1]
+        assert row == "100.0," + "nan," * 6 + "false"
+
     def test_negative_delta_n_is_2(self, tmp_path, capsys):
         # rejected before the (here missing) stream is read
         assert run(["analyze", tmp_path / "nope.tags", "--delta-n", -3,

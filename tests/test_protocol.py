@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ class TestSampling:
         # a prime chunk length splits settings and trials mid-block
         monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
         assert digest() == golden
+
+    def test_chunk_peak_memory_is_block_sized(self, default_config, table):
+        # the silent-or-click pass holds one block of hashes, never an
+        # array as long as the chunk
+        tracemalloc.start()
+        try:
+            protocol._sample_chunk(table, default_config, default_config.seed,
+                                   0, protocol.SAMPLE_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_table_order_enforced(self, fast_config):
         proto = dataclasses.replace(fast_config.protocol,

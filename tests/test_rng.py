@@ -99,3 +99,43 @@ def test_matches_scalar_splitmix64_and_leaves_inputs():
     assert np.array_equal(idx, kept)
     assert got.tolist() == [reference(2 ** 64 - 3, int(t), int(d))
                             for t, d in zip(kept, draws)]
+
+
+def _float_clicks(p, seed, start, stop):
+    # the reference: one float per trial, compared with p
+    idx = np.arange(start, stop, dtype=np.uint64)
+    u = rng.uniforms(seed, idx, 0)
+    return idx[u >= p], u[u >= p]
+
+
+def _click_probabilities():
+    from phononherald import config, protocol
+    table = protocol.build_outcome_table(config.default_config(), 100.0)
+    # a variate of the range below, so the compare meets u == p exactly
+    on_grid = rng.uniforms(5, np.array([3 * rng._BLOCK + 40], dtype=np.uint64), 0)[0]
+    return [0.0, 1.0 - 2.0 ** -53, 1.0, 1.5, -2.0 ** -50, -1e-3,
+            on_grid, np.nextafter(on_grid, 0.0), np.nextafter(on_grid, 1.0),
+            np.cumsum(table.probs)[0]]
+
+
+@pytest.mark.parametrize("p", _click_probabilities())
+@pytest.mark.parametrize("start, length", [
+    (0, 0), (17, 1), (3 * rng._BLOCK - 17, 2 * rng._BLOCK + 101),
+    (2 ** 40 + 3, rng._BLOCK - 1), (5, rng._BLOCK)])
+def test_clicked_integer_threshold_matches_float_compare(p, start, length):
+    trials, u = rng.clicked(p, 5, start, start + length)
+    want_trials, want_u = _float_clicks(p, 5, start, start + length)
+    assert trials.dtype == np.uint64
+    assert np.array_equal(trials, want_trials)
+    assert np.array_equal(u, want_u)
+
+
+def test_clicked_threshold_meets_a_variate():
+    # the on-grid case above really reaches u == p
+    idx = np.arange(3 * rng._BLOCK, 4 * rng._BLOCK, dtype=np.uint64)
+    u = rng.uniforms(5, idx, 0)
+    p = u[40]
+    # u == p clicks; one ulp above it does not
+    assert 3 * rng._BLOCK + 40 in rng.clicked(p, 5, idx[0], idx[-1] + 1)[0]
+    above = rng.clicked(np.nextafter(p, 1.0), 5, idx[0], idx[-1] + 1)[0]
+    assert 3 * rng._BLOCK + 40 not in above
