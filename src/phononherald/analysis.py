@@ -3,9 +3,14 @@ binomial-likelihood confidence intervals, the Cauchy-Schwarz classical
 bound via likelihood convolution, sideband thermometry and exponential
 fits.
 
-scipy is slow to import, so only the functions that use it import it:
-``scipy.special`` for the Beta quantiles and likelihood, ``scipy.optimize``
-for the fits. CLI stages that compute no statistics never load scipy.
+The numerics are numpy and the standard library only: importing scipy
+would cost more than most stages' work. Beta quantiles come from a
+safeguarded Newton solve on the regularized incomplete beta function,
+evaluated as in DiDonato & Morris (ACM TOMS 18, 360 (1992)): their
+continued fraction by the modified Lentz method, times a power term built
+from Stirling-series differences. Exponential fits use variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
+golden-section search, which the heating calibration shares.
 
 All intervals are 68% confidence regions built from the flat-prior
 binomial likelihood L(p) ~ p^N (1-p)^(T-N): the lower/upper uncertainties
@@ -17,6 +22,7 @@ budget at these count rates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +45,108 @@ class FitError(Exception):
     """Exponential fit failed to converge."""
 
 
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _stirling_correction(z: float) -> float:
+    """ln Gamma(z) minus its Stirling approximation (z-1/2) ln z - z + ln(2 pi)/2."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+    w = 1.0 / (z * z)  # asymptotic series; the first omitted term is < 1e-15
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (
+        1 / 1680 - w * (1 / 1188 - w * 691 / 360360))))) / z
+
+
+def _beta_power(a: float, b: float, x: float) -> float:
+    """x^a (1-x)^b / B(a, b), accurate for large a and b.
+
+    With e = (a+b) x - a its logarithm is a ln(1 + e/a) + b ln(1 - e/b)
+    + ln(ab / (2 pi (a+b)))/2 plus Stirling corrections; lgamma differences
+    would lose ~ulp(ln Gamma(a+b)), which is 2e-7 at a+b = 1e8.
+    """
+    s = a + b
+    e = s * x - a
+    return math.exp(a * math.log1p(e / a) + b * math.log1p(-e / b)
+                    + 0.5 * math.log(a * b / s) - _HALF_LOG_2PI
+                    + _stirling_correction(s) - _stirling_correction(a)
+                    - _stirling_correction(b))
+
+
+def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) / _beta_power(a, b, x) for a, b > 1, y = 1 - x and
+    lam = a - (a+b) x >= 0: the continued fraction BFRAC of DiDonato &
+    Morris, evaluated by the modified Lentz method. Given lam, it needs
+    neither 1 - x nor 1 - y, so no term cancels when b >> a; it takes
+    O(sqrt(a)) terms."""
+    tiny = 1e-300
+    c, c0, c1 = lam + 1.0, b / a, 1.0 / a + 1.0
+    p, s = 1.0, a + 1.0
+    g = big_c = c / c1
+    d = 0.0
+    for n in range(1, 10**7):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (t + 1.0) / (c1 + t + t) * (c + n * (y + 1.0))
+        p, s = t + 1.0, s + 2.0
+        d = beta + alpha * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        big_c = beta + alpha / big_c
+        big_c = big_c if abs(big_c) > tiny else tiny
+        g *= big_c * d
+        if abs(big_c * d - 1.0) <= 2.3e-16:
+            break
+    return 1.0 / g
+
+
+def _beta_cdf_pdf(a: float, b: float, x: float) -> tuple[float, float]:
+    """Regularized incomplete beta I_x(a, b) and its derivative, for
+    a, b > 1 and 0 < x < 1."""
+    power = _beta_power(a, b, x)
+    lam = a - (a + b) * x
+    if lam >= 0.0:
+        cdf = power * _beta_fraction(a, b, x, 1.0 - x, lam)
+    else:
+        cdf = 1.0 - power * _beta_fraction(b, a, 1.0 - x, x, -lam)
+    return cdf, power / (x * (1.0 - x))
+
+
+def _beta_quantile(a: float, b: float, q: float) -> float:
+    """x with I_x(a, b) = q for a, b >= 1 and 0 < q < 1: Newton steps from
+    the starting guess of Press et al., Numerical Recipes 3rd ed. 6.4,
+    kept inside a bracket."""
+    if a > b:
+        return 1.0 - _beta_quantile(b, a, 1.0 - q)
+    if a == 1.0:  # I_x(1, b) = 1 - (1-x)^b
+        return -math.expm1(math.log1p(-q) / b)
+    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
+    z = -z if q < 0.5 else z
+    al = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+    w = (z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
+         * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+    x = a / (a + b * math.exp(2.0 * w))
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        cdf, pdf = _beta_cdf_pdf(a, b, x)
+        if cdf == q:
+            return x
+        if cdf < q:
+            lo = x
+        else:
+            hi = x
+        step = x - (cdf - q) / pdf if pdf > 0 else math.nan
+        if abs(step - x) <= 1e-12 * x:
+            return step
+        if not lo < step < hi:  # halve the way to the bracket end instead
+            step = 0.5 * (x + (hi if cdf < q else lo))
+        x = step
+    return x
+
+
 def binomial_ci(n_events: int, n_trials: int) -> tuple[float, float, float]:
     """Maximum-likelihood probability and 68% likelihood interval.
 
@@ -50,12 +158,28 @@ def binomial_ci(n_events: int, n_trials: int) -> tuple[float, float, float]:
         raise EstimatorError(f"need at least one trial, got {n_trials}")
     if not 0 <= n_events <= n_trials:
         raise EstimatorError(f"events {n_events} outside [0, {n_trials}]")
-    from scipy.special import betaincinv  # lazy: see the module docstring
     p_ml = n_events / n_trials
-    a, b = n_events + 1, n_trials - n_events + 1
-    sigma_minus = max(p_ml - betaincinv(a, b, TAIL_MASS), 0.0)
-    sigma_plus = max(betaincinv(a, b, 1.0 - TAIL_MASS) - p_ml, 0.0)
+    a, b = n_events + 1.0, n_trials - n_events + 1.0
+    sigma_minus = max(p_ml - _beta_quantile(a, b, TAIL_MASS), 0.0)
+    sigma_plus = max(_beta_quantile(a, b, 1.0 - TAIL_MASS) - p_ml, 0.0)
     return p_ml, sigma_minus, sigma_plus
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi], to within xatol
+    (Kiefer, Proc. AMS 4, 502 (1953))."""
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 2.0 * xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -224,11 +348,16 @@ def _g_log_likelihood(n_coinc, n_pairs, scale, t_grid):
     transformed probability density: no Jacobian factor, so its maximum
     stays exactly at the maximum-likelihood g.
     """
-    from scipy.special import betaln, xlog1py, xlogy  # lazy: see the module docstring
     p = np.exp(t_grid) / scale
+    q = np.minimum(p, 1.0)
     n_miss = n_pairs - n_coinc    # Beta(N+1, T-N+1) density, in log space
-    log_f = (xlogy(n_coinc, p) + xlog1py(n_miss, -np.minimum(p, 1.0))
-             - betaln(n_coinc + 1, n_miss + 1))
+    log_f = np.full_like(p, math.lgamma(n_pairs + 2) - math.lgamma(n_coinc + 1)
+                         - math.lgamma(n_miss + 1))
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: zero likelihood there
+        if n_coinc:  # a zero count contributes exactly 0, even at p = 0
+            log_f += n_coinc * np.log(q)
+        if n_miss:
+            log_f += n_miss * np.log1p(-q)
     # p > 1 is impossible: zero mass, without exp overflowing out there
     f = np.exp(np.where(p <= 1.0, log_f, -np.inf))
     norm = np.trapezoid(f, t_grid)
@@ -336,11 +465,30 @@ class ExponentialFit:
     rms_residual: float
 
 
+FIT_TAU_BOUNDS = (1e-12, 1e12)
+FIT_SCAN_POINTS = 121
+
+
+def _projected_fit(t, y, log_tau):
+    """a, c and the residual sum of squares of the linear least squares
+    y ~ a * (exp(-t/tau) - 1) + c at fixed tau. Both models are this one
+    with a shifted offset; expm1 keeps the basis exact as tau grows."""
+    u = np.expm1(-t / math.exp(log_tau))
+    uc = u - u.mean()
+    suu = float(uc @ uc)
+    a = float(uc @ (y - y.mean())) / suu if suu > 0 else 0.0
+    c = float(y.mean() - a * u.mean())
+    resid = y - (a * u + c)
+    return a, c, float(resid @ resid)
+
+
 def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     """Least-squares fit of A*exp(-t/tau)+c or A*(1-exp(-t/tau))+c.
 
-    Seeds come from a log-linear regression of the baseline-subtracted
-    series, then a bounded Levenberg-Marquardt refinement.
+    Variable projection: at fixed tau, A and c solve a linear least
+    squares, so only tau is searched, on a grid in log tau over
+    FIT_TAU_BOUNDS and then by golden section between the grid neighbours
+    of the best point. A best tau on a bound is a FitError.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -348,38 +496,26 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
         raise ValueError("need at least 4 (t, y) points")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly ascending")
+    if model not in ("decay", "saturating-rise"):
+        raise ValueError(f"unknown model {model!r}")
     if np.ptp(y) < 1e-14 * max(1.0, np.abs(y).max()):
         return ExponentialFit(0.0, np.inf, float(y.mean()), float(y.std()))
 
-    if model == "decay":
-        def f(tt, a, tau, c):
-            return a * np.exp(-tt / tau) + c
-        c0 = y[-1]
-        z = y - c0
-    elif model == "saturating-rise":
-        def f(tt, a, tau, c):
-            return a * (1.0 - np.exp(-tt / tau)) + c
-        c0 = y[0]
-        z = y[-1] - y
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    pos = z > 0
-    if pos.sum() >= 2:
-        slope, intercept = np.polyfit(t[pos], np.log(z[pos]), 1)
-        tau0 = -1.0 / slope if slope < 0 else (t[-1] - t[0])
-        a0 = np.exp(intercept)
-    else:
-        tau0, a0 = t[-1] - t[0], np.ptp(y)
-    tau0 = min(max(tau0, 1e-9), 1e9)
-    from scipy import optimize  # lazy: only the m3 figure fits, and it is slow to import
-    try:
-        popt, _ = optimize.curve_fit(
-            f, t, y, p0=[a0, tau0, c0], maxfev=20000,
-            bounds=([-np.inf, 1e-12, -np.inf], [np.inf, 1e12, np.inf]))
-    except RuntimeError as exc:
-        raise FitError(f"exponential fit did not converge: {exc}") from exc
-    residual = float(np.sqrt(np.mean((f(t, *popt) - y) ** 2)))
-    return ExponentialFit(float(popt[0]), float(popt[1]), float(popt[2]), residual)
+    def ssr(log_tau):
+        return _projected_fit(t, y, log_tau)[2]
+
+    grid = np.linspace(*np.log(FIT_TAU_BOUNDS), FIT_SCAN_POINTS)
+    best = int(np.argmin([ssr(x) for x in grid]))
+    if not 0 < best < grid.size - 1:
+        raise FitError(f"exponential fit: best time constant at a bound of "
+                       f"{FIT_TAU_BOUNDS}")
+    log_tau = _golden_section(ssr, grid[best - 1], grid[best + 1], 1e-10)
+    a, c, rss = _projected_fit(t, y, log_tau)
+    amplitude, offset = (a, c - a) if model == "decay" else (-a, c)
+    tau = math.exp(log_tau)
+    if not np.isfinite([tau, amplitude, offset, rss]).all():
+        raise FitError(f"exponential fit did not converge (tau={tau})")
+    return ExponentialFit(amplitude, tau, offset, math.sqrt(rss / t.size))
 
 
 def heralded_autocorr(g_om: float) -> float:

@@ -3,7 +3,8 @@
 The pump-probe literature fixes the rise/decay time constants but not the
 heating amplitude at write-pulse energies, so ``a_heat`` is fitted by
 matching the model cross-correlation curve g2_om(delta_t) to a measured
-(or target) curve.
+(or target) curve. The fit is a golden-section search over A_HEAT_BOUNDS,
+the same one ``analysis.fit_exponential`` uses.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 
 import numpy as np
 
+from .analysis import _golden_section
 from .config import ConfigError, ExperimentConfig
 from .protocol import build_outcome_table
 
@@ -49,11 +51,7 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))
 
-    from scipy import optimize  # lazy: slow to import, and only this stage needs it
-    result = optimize.minimize_scalar(
-        cost, bounds=A_HEAT_BOUNDS, method="bounded",
-        options={"xatol": 1e-4})
-    best = float(result.x)
+    best = _golden_section(cost, *A_HEAT_BOUNDS, xatol=1e-4)
     rms = np.sqrt(cost(best) / len(targets))
     if rms > RESIDUAL_REL_TOL * np.abs(g_target).mean():
         raise CalibrationError(

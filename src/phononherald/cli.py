@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +61,7 @@ def _manifest(cfg, subcommand, args, inputs, outputs) -> dict:
         "config_hash": f"{cfg.config_hash():016x}",
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": metadata.version("scipy")},  # no slow scipy import
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "overrides": {k: v for k, v in vars(args).items()

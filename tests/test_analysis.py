@@ -2,6 +2,7 @@
 the convolved classical bound, thermometry and fits."""
 
 import dataclasses
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,26 @@ from scipy.stats import beta, norm
 from phononherald import analysis as A
 from phononherald import protocol, tags
 from phononherald.config import ConfigError
+
+
+def exact_beta_cdf(n: int, t: int, x: float) -> Decimal:
+    """CDF of Beta(n+1, t-n+1) at x to 60 digits: the probability that
+    Binomial(t+1, x) is at least n+1, summed over the shorter tail."""
+    if x <= 0:
+        return Decimal(0)
+    if x >= 1:
+        return Decimal(1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m, xd = t + 1, Decimal(x)
+        # P(Bin(m, u) <= k): the first k+1 terms of the binomial sum
+        u, k = (xd, n) if n <= t - n else (1 - xd, t - n)
+        term = (1 - u) ** m
+        total = term
+        for j in range(k):
+            term = term * (m - j) / (j + 1) * u / (1 - u)
+            total += term
+        return +(1 - total if n <= t - n else total)
 
 
 class TestBinomialCI:
@@ -44,15 +65,32 @@ class TestBinomialCI:
             A.binomial_ci(5, 4)
 
     def test_edges_are_beta_quantiles(self):
-        # the interval edges are the 16%/84% quantiles of Beta(N+1, T-N+1)
+        # the interval edges are the 16%/84% quantiles of Beta(N+1, T-N+1),
+        # clamped at p_ml; where min(N, T-N) is small the Beta CDF is a
+        # finite binomial sum, so the true quantile is bracketed exactly
+        rel = 1e-12
         for t in (1, 2, 30, 5000, 10**6, 10**8):
             for n in sorted({n for n in (0, 1, 2, t // 3, t - 1, t) if n <= t}):
                 p_ml, s_minus, s_plus = A.binomial_ci(n, t)
-                dist = beta(n + 1, t - n + 1)
-                lo = min(dist.ppf(A.TAIL_MASS), p_ml)
-                hi = max(dist.ppf(1.0 - A.TAIL_MASS), p_ml)
-                assert p_ml - s_minus == pytest.approx(lo, rel=1e-12, abs=0), (n, t)
-                assert p_ml + s_plus == pytest.approx(hi, rel=1e-12, abs=0), (n, t)
+                lo, hi = p_ml - s_minus, p_ml + s_plus
+                if min(n, t - n) > 2000:
+                    dist = beta(n + 1, t - n + 1)
+                    assert lo == pytest.approx(min(dist.ppf(A.TAIL_MASS), p_ml),
+                                               rel=rel, abs=0), (n, t)
+                    assert hi == pytest.approx(max(dist.ppf(1.0 - A.TAIL_MASS), p_ml),
+                                               rel=rel, abs=0), (n, t)
+                    continue
+                tail, head = Decimal(A.TAIL_MASS), Decimal(1.0 - A.TAIL_MASS)
+                if s_minus == 0:  # the 16% quantile is at or above p_ml
+                    assert exact_beta_cdf(n, t, p_ml * (1 - rel)) <= tail, (n, t)
+                else:
+                    assert (exact_beta_cdf(n, t, lo * (1 - rel)) <= tail
+                            <= exact_beta_cdf(n, t, lo * (1 + rel))), (n, t)
+                if s_plus == 0:  # the 84% quantile is at or below p_ml
+                    assert exact_beta_cdf(n, t, p_ml * (1 + rel)) >= head, (n, t)
+                else:
+                    assert (exact_beta_cdf(n, t, hi * (1 - rel)) <= head
+                            <= exact_beta_cdf(n, t, hi * (1 + rel))), (n, t)
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 2000), frac=st.floats(0.0, 1.0))
@@ -323,6 +361,15 @@ class TestClassicalBound:
         with pytest.raises(A.DegenerateCountsError):
             A.classical_bound(aw, ar)
 
+    def test_likelihood_beyond_the_grid_is_an_error(self):
+        # g_ML = 1e7 on the WRITE side lies far above the grid, where the
+        # likelihood underflows: an error, never a value at the grid's edge
+        sides = [A.CorrelationEstimate(0.0, 0.0, 0.0,
+                                       {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
+                 for c, n1, n2, t in ((100, 100, 100, 10**9), (3, 40, 50, 10_000))]
+        with pytest.raises(A.EstimatorError, match="no mass on the grid"):
+            A.classical_bound(*sides)
+
     @settings(max_examples=25, deadline=None)
     @given(c1=st.integers(1, 30), c2=st.integers(1, 30),
            n1=st.integers(40, 200), n2=st.integers(40, 200))
@@ -393,6 +440,13 @@ class TestExponentialFit:
         fit = A.fit_exponential(t, np.full(10, 0.3), "decay")
         assert fit.amplitude == 0.0
         assert fit.offset == pytest.approx(0.3)
+
+    def test_time_constant_on_a_bound_is_an_error(self):
+        # a straight line is the tau -> infinity limit of either model
+        t = np.linspace(0.0, 10.0, 20)
+        for model in ("decay", "saturating-rise"):
+            with pytest.raises(A.FitError, match="at a bound"):
+                A.fit_exponential(t, 0.5 + 0.1 * t, model)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

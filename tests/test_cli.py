@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,10 +40,13 @@ def fresh_env():
 
 def loaded_modules(argv=()):
     """Modules a fresh interpreter holds after importing the CLI and, when
-    ``argv`` is given, running it; also the exit code."""
-    code = ("import json, sys, phononherald.cli as cli; "
+    ``argv`` is given, running it; also the exit code. Any import of scipy
+    fails in that interpreter."""
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "import phononherald.cli as cli; "
             "argv = sys.argv[1:]; code = cli.main(argv) if argv else 0; "
-            "print(json.dumps([code, sorted(sys.modules)]))")
+            "print(json.dumps([code, sorted(m for m, mod in sys.modules.items() "
+            "if mod is not None)]))")
     proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
                           env=fresh_env(), capture_output=True, text=True,
                           timeout=120, check=True)
@@ -67,20 +69,26 @@ def test_cli_does_not_import_fock_oracle():
     assert not scipy_modules(modules)
 
 
-def test_stages_load_only_the_scipy_they_use(tmp_path, fast_config_path):
+def test_no_stage_imports_scipy(tmp_path, fast_config_path):
+    from phononherald import calibrate, config as C
+    target = tmp_path / "target.csv"
+    curve = calibrate.model_curve(C.default_config(), (100.0, 700.0), 0.3)
+    target.write_text("delta_t_ns,g2_om\n" + "".join(
+        f"{dt},{g}\n" for dt, g in zip((100.0, 700.0), curve)))
     stream = tmp_path / "run.tags"
-    code, modules = loaded_modules(["simulate", "--config", fast_config_path,
-                                    "--out", stream])
-    assert code == 0 and not scipy_modules(modules)
-    code, modules = loaded_modules(["reproduce", "--figure", "fig3c",
-                                    "--out", tmp_path / "figs"])
-    assert code == 0 and not scipy_modules(modules)
-    for argv in (["analyze", stream, "--config", fast_config_path, "--delta-n", 3,
-                  "--out", tmp_path / "analysis"],
-                 ["thermometry", "--pulses", 200_000, "--out", tmp_path / "t.json"]):
+    fast = ["--config", fast_config_path]
+    stages = [["simulate", *fast, "--out", stream],
+              ["analyze", stream, *fast, "--delta-n", 3, "--out", tmp_path / "analysis"],
+              ["thermometry", "--pulses", 200_000, "--out", tmp_path / "t.json"],
+              ["calibrate-heating", "--target", target, "--out", tmp_path / "fit.json"],
+              ["reproduce", "--figure", "fig2", "--trials", 200_000,
+               "--out", tmp_path / "figs"],
+              ["reproduce", "--figure", "fig3b", *fast, "--out", tmp_path / "figs"]]
+    stages += [["reproduce", "--figure", fig, "--out", tmp_path / "figs"]
+               for fig in ("fig3c", "m3")]
+    for argv in stages:
         code, modules = loaded_modules(argv)
-        assert code == 0 and "scipy.special" in modules
-        assert not {"scipy.stats", "scipy.optimize"} & modules
+        assert code == 0 and not scipy_modules(modules), argv
 
 
 class TestSimulateAnalyze:
@@ -93,8 +101,7 @@ class TestSimulateAnalyze:
         assert manifest["subcommand"] == "simulate"
         assert len(manifest["config_hash"]) == 16
         assert manifest["versions"] == {"python": platform.python_version(),
-                                        "numpy": numpy.__version__,
-                                        "scipy": scipy.__version__}
+                                        "numpy": numpy.__version__}
 
         out = tmp_path / "analysis"
         assert run(["analyze", stream, "--config", fast_config_path,
