@@ -19,6 +19,7 @@ click times, which makes 1e7+ trials cheap and embarrassingly parallel.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -187,8 +188,10 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
         table, start, stop = job
         return _sample_chunk(table, config, config.seed, start, stop)
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # a worker per core at most: more only hold more block buffers
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, jobs))
     else:
         parts = [run(job) for job in jobs]

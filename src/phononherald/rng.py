@@ -7,8 +7,21 @@ applied to a Weyl sequence over the flattened (trial, draw) counter.
 
 A variate is u = k * 2**-53 for the top 53 bits k of the hash, so
 ``clicked`` makes the silent-or-click decision u >= p on the integers
-k >= ceil(p * 2**53), exactly, in cache-sized blocks of trials; only the
-trials that click get a float.
+k >= T = ceil(p * 2**53), exactly; only the trials that click get a float.
+It runs one fused kernel over cache-sized blocks of trials, in buffers
+that every block reuses, on three exact integer identities:
+
+- counter: the draw-0 counter of trial t is (8t + 1) G + seed, and
+  (8t + 1) G + seed = (t - lo) 8G + ((8 lo + 1) G + seed) modulo 2**64, so
+  a block starting at trial lo is one add of a scalar to a fixed stride;
+- mix: the splitmix64 finalizer runs in place, its shifts through one
+  temporary;
+- compare: k >= T  <=>  hash >= T * 2**11 for T < 2**53, so k is never
+  formed. The finalizer's last step, hash = x ^ (x >> 31), leaves the top
+  31 bits of x as they are, so x >= T * 2**11 with its low 33 bits cleared
+  keeps every click and, beyond them, only the trials that tie with the
+  threshold in those bits (one in 2**31); the last step and the exact
+  compare run on those few trials only.
 """
 
 from __future__ import annotations
@@ -19,27 +32,29 @@ import numpy as np
 
 DRAWS_PER_TRIAL = 8
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _INV_2_53 = float(2.0 ** -53)
-_BLOCK = 1 << 16  # trials per click-pass block: 1 MB of counters and hashes
+_BLOCK = 1 << 15  # trials per click-pass block: 3 uint64 buffers of 256 KB
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer; mixes ``x`` in place and returns it."""
-    x ^= x >> np.uint64(30)
+    x ^= x >> _SHIFT1
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= x >> _SHIFT2
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    x ^= x >> _SHIFT3
     return x
 
 
-def _bits(seed: int, trial_indices: np.ndarray, draw: int | np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """The 53-bit integers k = hash >> 11 behind ``uniforms``, hashed in
-    place in ``out`` (a new array by default)."""
+def uniforms(seed: int, trial_indices: np.ndarray,
+             draw: int | np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) variates of many trials; ``draw`` is one draw slot
+    for all of them or an array of one slot per trial."""
     draws = np.asarray(draw)
     if np.any((draws < 0) | (draws >= DRAWS_PER_TRIAL)):
         raise ValueError(f"draw index {draw} outside [0, {DRAWS_PER_TRIAL})")
@@ -47,20 +62,13 @@ def _bits(seed: int, trial_indices: np.ndarray, draw: int | np.ndarray,
     # one counter array, hashed in place: a chunk's peak memory stays a few
     # arrays, whatever the threads interleave
     with np.errstate(over="ignore"):
-        z = np.multiply(trials, np.uint64(DRAWS_PER_TRIAL), out=out)
+        z = trials * np.uint64(DRAWS_PER_TRIAL)
         z += (draws + 1).astype(np.uint64)
         z *= _GOLDEN
-        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        z += np.uint64(seed & _MASK64)
         z = _mix64(z)
     z >>= np.uint64(11)
-    return z
-
-
-def uniforms(seed: int, trial_indices: np.ndarray,
-             draw: int | np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) variates of many trials; ``draw`` is one draw slot
-    for all of them or an array of one slot per trial."""
-    out = _bits(seed, trial_indices, draw).astype(np.float64)
+    out = z.astype(np.float64)
     out *= _INV_2_53
     return out
 
@@ -71,14 +79,36 @@ def clicked(p: float, seed: int, start: int,
     their u: the same trials and variates as ``uniforms(...) >= p``."""
     # u >= p  <=>  k >= p * 2**53 (an exact scaling)  <=>  k >= ceil(...);
     # clamped so that p <= 0 keeps every trial and p > 1 - 2**-53 none
-    threshold = np.uint64(min(max(math.ceil(p * 2.0 ** 53), 0), 2 ** 53))
-    # one hash buffer for every block: a fresh one each block would return
-    # its pages to the system and fault them back in, doubling the pass
-    k = np.empty(min(_BLOCK, max(stop - start, 0)), dtype=np.uint64)
+    threshold = min(max(math.ceil(p * 2.0 ** 53), 0), 2 ** 53)
+    n = min(_BLOCK, max(stop - start, 0))
     kept = [np.zeros(0, dtype=np.uint64)]
-    for lo in range(start, stop, _BLOCK):
-        trials = np.arange(lo, min(lo + _BLOCK, stop), dtype=np.uint64)
-        hashed = _bits(seed, trials, 0, out=k[:trials.size])
-        kept.append(trials[hashed >= threshold])
+    if threshold < 2 ** 53 and n:
+        limit = np.uint64(threshold << 11)  # hash >= limit  <=>  k >= T
+        coarse = np.uint64(threshold << 11 >> 33 << 33)
+        golden = int(_GOLDEN)
+        # counter steps (t - lo) 8G of a block's trials, then buffers that
+        # every block reuses: fresh ones would return their pages to the
+        # system and fault them back in
+        stride = np.arange(n, dtype=np.uint64)
+        stride *= np.uint64(DRAWS_PER_TRIAL * golden & _MASK64)
+        x = np.empty(n, dtype=np.uint64)
+        shifted = np.empty(n, dtype=np.uint64)
+        above = np.empty(n, dtype=bool)
+        for lo in range(start, stop, _BLOCK):
+            m = min(_BLOCK, stop - lo)
+            z, tmp = x[:m], shifted[:m]
+            first = ((DRAWS_PER_TRIAL * lo + 1) * golden + seed) & _MASK64
+            np.add(stride[:m], np.uint64(first), out=z)
+            np.right_shift(z, _SHIFT1, out=tmp)
+            z ^= tmp
+            z *= _MIX1
+            np.right_shift(z, _SHIFT2, out=tmp)
+            z ^= tmp
+            z *= _MIX2
+            # the last step only for trials whose top 31 bits reach coarse
+            near = np.flatnonzero(np.greater_equal(z, coarse, out=above[:m]))
+            hashed = z[near]
+            hashed ^= hashed >> _SHIFT3
+            kept.append(near[hashed >= limit].astype(np.uint64) + np.uint64(lo))
     trials = np.concatenate(kept)
     return trials, uniforms(seed, trials, 0)

@@ -105,11 +105,47 @@ class TestOutcomeTable:
 
 
 class TestSampling:
-    def test_thread_count_does_not_change_bytes(self, fast_config, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, fast_config, monkeypatch):
+        # a prime chunk length makes 7 jobs, so the pool really runs them
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
         tables = [protocol.build_outcome_table(fast_config, 100.0)]
         a = protocol.sample_trials(fast_config, tables, 50_000, threads=1)
-        b = protocol.sample_trials(fast_config, tables, 50_000, threads=4)
-        assert a.records.tobytes() == b.records.tobytes()
+        for threads in (2, 4):
+            b = protocol.sample_trials(fast_config, tables, 50_000, threads=threads)
+            assert a.records.tobytes() == b.records.tobytes()
+
+    def test_pool_bounded_by_jobs_and_cores(self, fast_config, monkeypatch):
+        # a recorder stands in for the pool, so no thread is started
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 1000)
+        tables = [protocol.build_outcome_table(fast_config, 100.0)]
+        serial = protocol.sample_trials(fast_config, tables, 5000)
+        for cores, threads, trials, want in [
+                (3, 16, 5000, 3),   # cores bound it
+                (8, 16, 2500, 3),   # jobs bound it
+                (8, 2, 5000, 2),    # the request bounds it
+                (None, 16, 5000, None), (1, 16, 5000, None), (8, 16, 1000, None)]:
+            monkeypatch.setattr(protocol.os, "cpu_count", lambda cores=cores: cores)
+            workers.clear()
+            stream = protocol.sample_trials(fast_config, tables, trials, threads=threads)
+            assert workers == ([] if want is None else [want])
+            if trials == 5000:
+                assert stream.records.tobytes() == serial.records.tobytes()
 
     def test_seed_changes_stream(self, fast_config):
         tables = [protocol.build_outcome_table(fast_config, 100.0)]

@@ -108,34 +108,53 @@ def _float_clicks(p, seed, start, stop):
     return idx[u >= p], u[u >= p]
 
 
+# two click-pass blocks; the compare cases below sit on their edges
+_SPAN = 2 * rng._BLOCK
+# the trial whose draw-0 variate at seed 5 is one of the thresholds below
+_ON_GRID = 3 * _SPAN + 40
+
+
 def _click_probabilities():
     from phononherald import config, protocol
     table = protocol.build_outcome_table(config.default_config(), 100.0)
     # a variate of the range below, so the compare meets u == p exactly
-    on_grid = rng.uniforms(5, np.array([3 * rng._BLOCK + 40], dtype=np.uint64), 0)[0]
+    on_grid = rng.uniforms(5, np.array([_ON_GRID], dtype=np.uint64), 0)[0]
     return [0.0, 1.0 - 2.0 ** -53, 1.0, 1.5, -2.0 ** -50, -1e-3,
             on_grid, np.nextafter(on_grid, 0.0), np.nextafter(on_grid, 1.0),
             np.cumsum(table.probs)[0]]
 
 
+_RANGES = [  # (start, length, seed)
+    (0, 0, 5), (17, 1, 5), (3 * _SPAN - 17, 2 * _SPAN + 101, 5),
+    (2 ** 40 + 3, _SPAN - 1, 5), (5, _SPAN, 5),
+    # a tail block of one trial; the top seed, where adding the counter
+    # offset wraps 2**64; and a range that ends at the config's ceiling of
+    # trials x settings, 2**61
+    (7, 3 * rng._BLOCK + 1, 5), (7, 3 * rng._BLOCK + 1, 2 ** 64 - 3),
+    (3 * _SPAN - 17, 2 * _SPAN + 101, 2 ** 64 - 3),
+    (2 ** 61 - 2 * rng._BLOCK - 2, 2 * rng._BLOCK + 1, 5),
+    (2 ** 61 - 2 * rng._BLOCK - 2, 2 * rng._BLOCK + 1, 2 ** 64 - 3)]
+
+
 @pytest.mark.parametrize("p", _click_probabilities())
-@pytest.mark.parametrize("start, length", [
-    (0, 0), (17, 1), (3 * rng._BLOCK - 17, 2 * rng._BLOCK + 101),
-    (2 ** 40 + 3, rng._BLOCK - 1), (5, rng._BLOCK)])
-def test_clicked_integer_threshold_matches_float_compare(p, start, length):
-    trials, u = rng.clicked(p, 5, start, start + length)
-    want_trials, want_u = _float_clicks(p, 5, start, start + length)
+@pytest.mark.parametrize(
+    "start, length, seed", _RANGES,
+    ids=[f"{a}-{n}" + ("" if seed == 5 else f"-seed{seed}") for a, n, seed in _RANGES])
+def test_clicked_integer_threshold_matches_float_compare(p, start, length, seed):
+    trials, u = rng.clicked(p, seed, start, start + length)
+    want_trials, want_u = _float_clicks(p, seed, start, start + length)
     assert trials.dtype == np.uint64
     assert np.array_equal(trials, want_trials)
     assert np.array_equal(u, want_u)
 
 
 def test_clicked_threshold_meets_a_variate():
-    # the on-grid case above really reaches u == p
-    idx = np.arange(3 * rng._BLOCK, 4 * rng._BLOCK, dtype=np.uint64)
+    # the on-grid case above really reaches u == p; there the hash shares
+    # its top bits with the threshold, so the exact compare decides
+    idx = np.arange(_ON_GRID - 40, _ON_GRID + _SPAN, dtype=np.uint64)
     u = rng.uniforms(5, idx, 0)
     p = u[40]
     # u == p clicks; one ulp above it does not
-    assert 3 * rng._BLOCK + 40 in rng.clicked(p, 5, idx[0], idx[-1] + 1)[0]
+    assert _ON_GRID in rng.clicked(p, 5, idx[0], idx[-1] + 1)[0]
     above = rng.clicked(np.nextafter(p, 1.0), 5, idx[0], idx[-1] + 1)[0]
-    assert 3 * rng._BLOCK + 40 not in above
+    assert _ON_GRID not in above
