@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tags
-from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
-from .protocol import (MASKS, SLOT_BITS, EstimatorError, g2_ratio,
-                       read_window_start_ps)
+from .config import ExperimentConfig
+from .protocol import MASKS, SLOT_BITS, EstimatorError, g2_ratio, window_geometry
 
 TAIL_MASS = 0.16
 BOUND_GRID_POINTS = 4096
@@ -209,14 +208,17 @@ class CorrelationEstimate:
 @dataclass
 class TrialTable:
     """Clicked trials of one write->read delay setting: the sorted, unique
-    local trials with a click in the (trimmed) windows, and each one's
-    nonzero click pattern, built from ``protocol.SLOT_BITS`` as it indexes
-    ``OutcomeTable.probs``."""
+    local trials with a click in the (trimmed) windows, each one's nonzero
+    click pattern, built from ``protocol.SLOT_BITS`` as it indexes
+    ``OutcomeTable.probs``, and whether it is in the W and the R mask."""
 
     delta_t_ns: float
     trials: int
     clicked: np.ndarray
     patterns: np.ndarray
+
+    def __post_init__(self):
+        self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
@@ -230,11 +232,6 @@ class TrialTable:
                                      for name, mask in MASKS.items()}}
 
 
-def _coincidences(a: np.ndarray, b: np.ndarray, offset: int = 0) -> int:
-    """Number of trials n in ``a`` with n + offset in ``b`` (both sorted, unique)."""
-    return np.intersect1d(a + offset, b, assume_unique=True).size
-
-
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
              read_window_ns=None) -> dict[float, TrialTable]:
     """Assign every record to its setting and trial, setting its slot's bit
@@ -246,45 +243,35 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     their labelled window are format errors. The tables depend neither on
     the record order nor on repeated records.
     """
-    trials_per_setting = config.protocol.trials
-    settings = list(config.protocol.delta_t_list_ns)
-    expected = trials_per_setting * len(settings)
-    if stream.trial_count != expected:
-        raise tags.TagFormatError(
-            f"stream holds {stream.trial_count} trials, config implies {expected}")
-    full_read_ns = config.chain.window_read_ns
-    trim_ns = full_read_ns if read_window_ns is None else float(read_window_ns)
-    if not MIN_WINDOW_NS <= trim_ns <= full_read_ns:
-        raise ConfigError(
-            f"read-window-ns: {trim_ns} outside [{MIN_WINDOW_NS}, {full_read_ns}]")
-    write_len = int(round(config.chain.window_write_ns * 1000.0))
-
-    out = {}
+    trials, settings = config.protocol.trials, config.protocol.delta_t_list_ns
+    if stream.trial_count != trials * len(settings):
+        raise tags.TagFormatError(f"stream holds {stream.trial_count} trials, "
+                                  f"config implies {trials * len(settings)}")
+    # [setting, start|length, pulse label], of the configured and the trimmed windows
+    full, trimmed = (np.array([window_geometry(config, dt, ns) for dt in settings])
+                     for ns in (None, read_window_ns))
     rec = stream.records
-    setting_of, local = np.divmod(rec["trial_index"].astype(np.int64),
-                                  trials_per_setting)
-    for k, delta_t in enumerate(settings):
-        mine = setting_of == k
-        r = rec[mine]
-        trial = local[mine]
-        read_start = read_window_start_ps(config, delta_t)
-        read_len = int(round(full_read_ns * 1000.0))
-        is_write = r["pulse_label"] == tags.WRITE_PULSE
-        t = r["time_ps"].astype(np.int64)
-        bad_write = is_write & (t >= write_len)
-        bad_read = ~is_write & ((t < read_start) | (t >= read_start + read_len))
-        if bad_write.any() or bad_read.any():
-            raise tags.TagFormatError(
-                "record time outside its labelled pulse window "
-                f"(trial {int(r['trial_index'][(bad_write | bad_read)][0])})")
-        keep = is_write | (t < read_start + int(round(trim_ns * 1000.0)))
-        # sorted (trial, slot) keys group a trial's records in any record
-        # order, and OR-ing their bits ignores repeated records
-        key = np.sort(trial[keep] * 4 + 2 * r["pulse_label"][keep] + r["detector"][keep])
-        first = np.flatnonzero(np.diff(key >> 2, prepend=-1))
-        patterns = np.bitwise_or.reduceat(SLOT_BITS[key & 3], first)
-        out[delta_t] = TrialTable(delta_t, trials_per_setting, key[first] >> 2, patterns)
-    return out
+    setting, label = rec["trial_index"] // trials, rec["pulse_label"]
+    # time past the window start; before it, the uint64 difference wraps
+    # beyond every length, so one compare checks both window edges
+    offset = rec["time_ps"] - full[setting, 0, label]
+    bad = offset >= full[setting, 1, label]
+    if bad.any():
+        raise tags.TagFormatError("record time outside its labelled pulse window "
+                                  f"(trial {int(rec['trial_index'][bad.argmax()])})")
+    keep = offset < trimmed[setting, 1, label]
+    del setting, offset  # a record-length array each: not held through the sort
+    # one sort of the (global trial, slot) keys, 4 * trial + slot < 4 * 2**61,
+    # groups each trial's records in any record order, and OR-ing their bits
+    # ignores repeated records
+    key = rec["trial_index"][keep].view(np.int64) * 4 + 2 * label[keep] + rec["detector"][keep]
+    key.sort()
+    first = np.flatnonzero(np.diff(key >> 2, prepend=-1))
+    patterns = np.bitwise_or.reduceat(SLOT_BITS[key & 3], first)
+    clicked = key[first] >> 2
+    bounds = np.searchsorted(clicked, np.arange(len(settings) + 1) * trials)
+    return {dt: TrialTable(dt, trials, clicked[lo:hi] - k * trials, patterns[lo:hi])
+            for k, (dt, lo, hi) in enumerate(zip(settings, bounds, bounds[1:]))}
 
 
 def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> CorrelationEstimate:
@@ -303,18 +290,26 @@ def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
     t = table.trials
     pooled = np.ndim(delta_n) > 0
     offsets = list(delta_n) if pooled else [delta_n]
-    w, r = (table.clicked[MASKS[name][table.patterns]] for name in ("W", "R"))
-    coinc = pairs = 0
+    c, coinc, pairs = table.clicked, 0, 0
     for dn in offsets:
-        if pooled and (dn == 0 or t - abs(dn) < 1):
+        d = abs(dn)
+        if pooled and (dn == 0 or t - d < 1):
             raise EstimatorError(f"invalid pooled offset {dn}")
-        if t - abs(dn) < 1:
+        if t - d < 1:
             raise EstimatorError(f"offset {dn} leaves no trial pairs")
-        coinc += _coincidences(w, r, dn)
-        pairs += t - abs(dn)
-    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": w.size, "N_R": r.size,
+        # W clicks at n with an R click at n + dn: clicked trials ``lag`` places
+        # apart are >= ``lag`` trials apart, so stop once every gap exceeds |dn|
+        early, late = (table.is_write, table.is_read)[::1 if dn >= 0 else -1]
+        for lag in range(c.size):
+            gap = c[lag:] - c[:c.size - lag]
+            if gap.min() > d:
+                break
+            coinc += int(np.count_nonzero((gap == d) & early[:c.size - lag] & late[lag:]))
+        pairs += t - d
+    n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
+    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r,
               "T": t, "delta_n": offsets if pooled else delta_n}
-    return _scaled_estimate(coinc, pairs, w.size, r.size, t, counts)
+    return _scaled_estimate(coinc, pairs, n_w, n_r, t, counts)
 
 
 def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimate:
@@ -325,18 +320,15 @@ def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimat
     reinitialized before each write); READ uses only the table matching
     ``delta_t_ns`` (delayed heating makes the read state delay-dependent).
     """
-    if window == "WRITE":
-        use = list(tables.values())
-    elif window == "READ":
-        if delta_t_ns is None:
-            raise ValueError("READ autocorrelation needs delta_t_ns")
-        use = [tables[delta_t_ns]]
-    else:
+    if window not in ("WRITE", "READ"):
         raise ValueError(f"window must be WRITE or READ, got {window!r}")
-    keys = ("T", "N_W1W2", "N_W1", "N_W2") if window == "WRITE" else (
-        "T", "N_R1R2", "N_R1", "N_R2")
-    counters = [tab.counters() for tab in use]
-    t, coinc, n1, n2 = (sum(c[key] for c in counters) for key in keys)
+    if window == "READ" and delta_t_ns is None:
+        raise ValueError("READ autocorrelation needs delta_t_ns")
+    counters = [tab.counters() for tab in (
+        tables.values() if window == "WRITE" else [tables[delta_t_ns]])]
+    x = window[0]  # the counters of window X are N_X1, N_X2 and N_X1X2
+    t, coinc, n1, n2 = (sum(c[key] for c in counters)
+                        for key in ("T", f"N_{x}1{x}2", f"N_{x}1", f"N_{x}2"))
     counts = {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": t, "window": window}
     return _scaled_estimate(coinc, t, n1, n2, t, counts)
 
@@ -516,34 +508,3 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     if not np.isfinite([tau, amplitude, offset, rss]).all():
         raise FitError(f"exponential fit did not converge (tau={tau})")
     return ExponentialFit(amplitude, tau, offset, math.sqrt(rss / t.size))
-
-
-def heralded_autocorr(g_om: float) -> float:
-    """Heralded mechanical autocorrelation 4/(g_om - 1).
-
-    Derived for two-mode squeezing on a thermal seed; a good approximation
-    only for g_om well above 1 (>= 5 or so).
-    """
-    if g_om <= 1.0:
-        raise ValueError(f"heralded autocorrelation undefined for g_om={g_om} <= 1")
-    return 4.0 / (g_om - 1.0)
-
-
-def fock_fidelity(g_heralded: float, p_false: float) -> tuple[float, float, float]:
-    """Diagonal (p0, p1, p>1) of the heralded state from the heralded
-    autocorrelation and the false-positive herald fraction.
-
-    Solves p0 = p_false, p_gt1 = g * p1^2 / 2, p0 + p1 + p_gt1 = 1.
-    """
-    if g_heralded < 0:
-        raise ValueError(f"g_heralded must be >= 0, got {g_heralded}")
-    if not 0.0 <= p_false < 1.0:
-        raise ValueError(f"p_false {p_false} outside [0, 1)")
-    rest = 1.0 - p_false
-    if g_heralded == 0.0:
-        p1 = rest
-    else:
-        p1 = (-1.0 + np.sqrt(1.0 + 2.0 * g_heralded * rest)) / g_heralded
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"no physical root: p1={p1}")
-    return p_false, float(p1), float(g_heralded * p1 ** 2 / 2.0)

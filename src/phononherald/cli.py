@@ -2,8 +2,8 @@
 
 Subcommands: simulate, analyze, thermometry, reproduce, calibrate-heating.
 Exit codes: 0 success, 2 config error, 3 physics error (unreachable
-calibration target), 4 data-format error, 5 degenerate statistics (e.g. an
-empty stream, a rate-asymmetry pole or a failed fit).
+calibration target), 4 data-format or I/O error, 5 degenerate statistics
+(e.g. an empty stream, a rate-asymmetry pole or a failed fit).
 Set PHONONHERALD_LOG=debug|info|warning for verbosity.
 """
 
@@ -107,12 +107,14 @@ def _estimate(entry, key, fn, *args):
 def _analyze_tables(trial_tables, delta_n_max):
     """Each setting's counters and every estimate that its counts define."""
     offsets = list(range(1, delta_n_max + 1))
+    write = {}  # the WRITE autocorrelation pools every setting: estimated once
+    _estimate(write, "g2_auto_write", analysis.g2_auto_estimate, trial_tables, "WRITE")
     results = []
     for delta_t, table in trial_tables.items():
         entry = {"delta_t_ns": delta_t, "counters": table.counters()}
         _estimate(entry, "g2_om", analysis.g2_cross_estimate, table, 0)
-        _estimate(entry, "g2_auto_write", analysis.g2_auto_estimate,
-                  trial_tables, "WRITE")
+        for key, value in write.items():  # the estimate or its error
+            entry.setdefault(key, value)
         _estimate(entry, "g2_auto_read", analysis.g2_auto_estimate,
                   trial_tables, "READ", delta_t)
         if "g2_auto_write" in entry and "g2_auto_read" in entry:
@@ -402,8 +404,8 @@ def main(argv=None) -> int:
     except tags.TagFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        print(f"data format error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
 

@@ -10,7 +10,8 @@ guaranteed to be numerically trustworthy.
 With the click POVM of two threshold detectors on one mode
 (``pair_click_matrix``) and pattern-conditioned states
 (``conditional_mech_states``) it is the tests' oracle for the closed-form
-outcome tables of ``protocol``; no production path imports it.
+outcome tables of ``protocol``; no production path imports it. The
+heralded-state approximations that the oracle checks sit next to it.
 """
 
 from __future__ import annotations
@@ -343,3 +344,34 @@ def conditional_mech_states(state: TwoModeFockState, q_patterns: np.ndarray):
     d = state.dim
     r4 = state.rho.reshape(d, d, d, d)
     return [np.einsum("injn,n->ij", r4, q.astype(complex)) for q in q_patterns]
+
+
+def heralded_autocorr(g_om: float) -> float:
+    """Heralded mechanical autocorrelation 4/(g_om - 1).
+
+    Derived for two-mode squeezing on a thermal seed; a good approximation
+    only for g_om well above 1 (>= 5 or so).
+    """
+    if g_om <= 1.0:
+        raise ValueError(f"heralded autocorrelation undefined for g_om={g_om} <= 1")
+    return 4.0 / (g_om - 1.0)
+
+
+def fock_fidelity(g_heralded: float, p_false: float) -> tuple[float, float, float]:
+    """Diagonal (p0, p1, p>1) of the heralded state from the heralded
+    autocorrelation and the false-positive herald fraction.
+
+    Solves p0 = p_false, p_gt1 = g * p1^2 / 2, p0 + p1 + p_gt1 = 1.
+    """
+    if g_heralded < 0:
+        raise ValueError(f"g_heralded must be >= 0, got {g_heralded}")
+    if not 0.0 <= p_false < 1.0:
+        raise ValueError(f"p_false {p_false} outside [0, 1)")
+    rest = 1.0 - p_false
+    if g_heralded == 0.0:
+        p1 = rest
+    else:
+        p1 = (-1.0 + np.sqrt(1.0 + 2.0 * g_heralded * rest)) / g_heralded
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError(f"no physical root: p1={p1}")
+    return p_false, float(p1), float(g_heralded * p1 ** 2 / 2.0)

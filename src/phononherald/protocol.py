@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian, rng, tags
-from .config import ExperimentConfig
+from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
 from .detection import PATTERN_FROM_SILENT, silent_subsets
 
 PROB_SUM_TOL = 1e-9
@@ -133,14 +133,18 @@ def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeT
     return OutcomeTable(delta_t_ns, joint.ravel())
 
 
-def _trial_layout(config: ExperimentConfig, trials_per_setting: int):
-    """Global trial-index blocks: setting k owns [k*N, (k+1)*N)."""
-    settings = config.protocol.delta_t_list_ns
-    return [(k * trials_per_setting, delta_t) for k, delta_t in enumerate(settings)]
-
-
-def read_window_start_ps(config: ExperimentConfig, delta_t_ns: float) -> int:
-    return int(round((config.chain.window_write_ns + delta_t_ns) * 1000.0))
+def window_geometry(config: ExperimentConfig, delta_t_ns: float,
+                    read_window_ns=None) -> np.ndarray:
+    """[start, length] x [write, read window] in whole picoseconds, indexed
+    by pulse label: the one geometry the sampler draws click times in and the
+    analysis checks them against, with the read window trimmed to
+    ``read_window_ns`` (1 ps up to the configured length)."""
+    write_ns, full_ns = config.chain.window_write_ns, config.chain.window_read_ns
+    read_ns = full_ns if read_window_ns is None else float(read_window_ns)
+    if not MIN_WINDOW_NS <= read_ns <= full_ns:
+        raise ConfigError(f"read-window-ns: {read_ns} outside [{MIN_WINDOW_NS}, {full_ns}]")
+    return np.array([[0, round((write_ns + delta_t_ns) * 1000.0)],
+                     [round(write_ns * 1000.0), round(read_ns * 1000.0)]], dtype=np.uint64)
 
 
 def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
@@ -154,10 +158,7 @@ def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
     trial = trial[row]
     label = slot >> 1
     u = rng.uniforms(seed, trial, 1 + slot)
-    starts = np.array([0, read_window_start_ps(config, table.delta_t_ns)],
-                      dtype=np.uint64)
-    lengths = np.array([round(config.chain.window_write_ns * 1000.0),
-                        round(config.chain.window_read_ns * 1000.0)], dtype=float)
+    starts, lengths = window_geometry(config, table.delta_t_ns)
     time_ps = starts[label] + (u * lengths[label]).astype(np.uint64)
     return tags.make_records(trial, slot & 1, label, time_ps)
 
@@ -172,14 +173,15 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
     """
     if trials_per_setting is None:
         trials_per_setting = config.protocol.trials
-    layout = _trial_layout(config, trials_per_setting)
-    if len(tables) != len(layout):
+    settings = config.protocol.delta_t_list_ns
+    if len(tables) != len(settings):
         raise ValueError("one outcome table per delta_t setting required")
 
     jobs = []
-    for (offset, delta_t), table in zip(layout, tables):
+    for k, (delta_t, table) in enumerate(zip(settings, tables)):
         if abs(table.delta_t_ns - delta_t) > 1e-9:
             raise ValueError("outcome tables out of order with delta_t_list")
+        offset = k * trials_per_setting  # setting k owns [k*N, (k+1)*N)
         for start in range(offset, offset + trials_per_setting, SAMPLE_CHUNK):
             stop = min(start + SAMPLE_CHUNK, offset + trials_per_setting)
             jobs.append((table, start, stop))
@@ -197,8 +199,7 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
         parts = [run(job) for job in jobs]
     records = (np.concatenate(parts) if parts
                else np.zeros(0, dtype=tags.RECORD_DTYPE))
-    total = trials_per_setting * len(layout)
-    return tags.TagStream(config.config_hash(), total, records)
+    return tags.TagStream(config.config_hash(), trials_per_setting * len(settings), records)
 
 
 @dataclass(frozen=True)

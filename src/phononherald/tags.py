@@ -5,10 +5,12 @@ Header (32 bytes): magic 4s, version u16, reserved u16, config-hash u64
 Records (24 bytes each): trial_index u64, detector u8, pulse_label u8,
 reserved u16 = 0, time_ps u64, pad u32 = 0.
 
-``read_tagstream`` validates every record's fields but not the record
-order or uniqueness that the sampler produces: the analysis ORs each
-trial's records into one click pattern per clicked trial, so its results
-depend on neither.
+``read_tagstream`` holds the records as a read-only view of the bytes it
+read, and ``write_tagstream`` writes their buffer: neither copies them.
+A read validates every record's fields but not the record order or
+uniqueness that the sampler produces: the analysis ORs each trial's
+records into one click pattern per clicked trial, so its results depend
+on neither.
 """
 
 from __future__ import annotations
@@ -70,25 +72,26 @@ def write_tagstream(stream: TagStream, path) -> None:
                                 stream.trial_count, len(stream.records))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(stream.records.tobytes())
+        fh.write(np.ascontiguousarray(stream.records).data)
 
 
 def read_tagstream(path) -> TagStream:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_STRUCT.size:
-        raise TagFormatError(f"truncated header: {len(raw)} bytes at position 0")
+    # unbuffered, so the body is read into one bytes object, not joined
+    # to a read-ahead buffer
+    with open(path, "rb", buffering=0) as fh:
+        header, body = fh.read(HEADER_STRUCT.size), fh.read()
+    if len(header) < HEADER_STRUCT.size:
+        raise TagFormatError(f"truncated header: {len(header)} bytes at position 0")
     magic, version, _reserved, cfg_hash, trial_count, record_count = \
-        HEADER_STRUCT.unpack_from(raw, 0)
+        HEADER_STRUCT.unpack(header)
     if magic != MAGIC:
         raise TagFormatError(f"bad magic {magic!r} at position 0")
     if version != FORMAT_VERSION:
         raise TagFormatError(f"unsupported format version {version}")
-    body = raw[HEADER_STRUCT.size:]
     if len(body) % RECORD_SIZE:
         raise TagFormatError(
             f"truncated record at position {HEADER_STRUCT.size + len(body) - len(body) % RECORD_SIZE}")
-    records = np.frombuffer(body, dtype=RECORD_DTYPE)
+    records = np.frombuffer(body, dtype=RECORD_DTYPE)  # read-only, not a copy
     if len(records) != record_count:
         raise TagFormatError(
             f"header promises {record_count} records, file holds {len(records)}")
@@ -99,4 +102,4 @@ def read_tagstream(path) -> TagStream:
         if bad.any():
             pos = HEADER_STRUCT.size + int(np.argmax(bad)) * RECORD_SIZE
             raise TagFormatError(f"{what} at position {pos}")
-    return TagStream(cfg_hash, trial_count, records.copy())
+    return TagStream(cfg_hash, trial_count, records)

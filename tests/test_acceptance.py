@@ -167,8 +167,8 @@ def test_criterion_6_heating_fit_round_trip():
 
 
 def test_criterion_7_heralded_state_chain():
-    g_point = A.heralded_autocorr(19.6)
-    _, p1, _ = A.fock_fidelity(0.215, 0.04)
+    g_point = F.heralded_autocorr(19.6)
+    _, p1, _ = F.fock_fidelity(0.215, 0.04)
 
     cfg = C.default_config()
     n_max = cfg.numerics.n_max
@@ -181,7 +181,7 @@ def test_criterion_7_heralded_state_chain():
     heralded = cond[1] + cond[2] + cond[3]
     heralded = heralded / np.trace(heralded).real
     g_direct = F.g2_auto_single(heralded)
-    g_approx = A.heralded_autocorr(g_om)
+    g_approx = F.heralded_autocorr(g_om)
     rel = abs(g_direct - g_approx) / g_direct
 
     ok = (abs(g_point - 0.215) < 0.005 and abs(p1 - 0.877) < 0.005

@@ -122,7 +122,7 @@ class TestTabulate:
 
     def test_window_assignment(self, default_config):
         cfg = with_trials(default_config, 10)
-        rs = protocol.read_window_start_ps(cfg, 100.0)
+        rs = int(protocol.window_geometry(cfg, 100.0)[0, 1])
         entries = [
             (0, 0, tags.WRITE_PULSE, 100),
             (0, 1, tags.READ_PULSE, rs + 500),
@@ -136,7 +136,7 @@ class TestTabulate:
 
     def test_read_window_trim_drops_late_clicks(self, default_config):
         cfg = with_trials(default_config, 10)
-        rs = protocol.read_window_start_ps(cfg, 100.0)
+        rs = int(protocol.window_geometry(cfg, 100.0)[0, 1])
         entries = [(0, 0, tags.READ_PULSE, rs + 10_000),
                    (1, 0, tags.READ_PULSE, rs + 45_000)]
         stream = self.stream_for(cfg, entries, 10)
@@ -150,6 +150,29 @@ class TestTabulate:
         entries = [(0, 0, tags.WRITE_PULSE, 41_000)]  # past the 40 ns window
         with pytest.raises(tags.TagFormatError, match="outside its labelled"):
             A.tabulate(self.stream_for(cfg, entries, 10), cfg)
+
+    @pytest.mark.parametrize("k, label, delay", [
+        (4, tags.READ_PULSE, 100.0),   # 1000 ns setting, inside 100 ns's read window
+        (5, tags.WRITE_PULSE, None),   # last setting, past the 40 ns write window
+    ], ids=["read-1000ns-at-100ns-window", "write-last-setting"])
+    def test_out_of_window_record_rejected_in_any_setting(self, default_config, k,
+                                                          label, delay):
+        delays = (100.0, 200.0, 400.0, 700.0, 1000.0, 1500.0)
+        cfg = default_config.replace(protocol=dataclasses.replace(
+            default_config.protocol, trials=10, delta_t_list_ns=delays))
+        time_ps = 41_000 if delay is None else int(
+            protocol.window_geometry(cfg, delay)[0, 1]) + 10_000
+        trial = 10 * k + 3
+        # the setting's first trial has a valid click in each window
+        good = [(10 * k, 0, tags.WRITE_PULSE, 100),
+                (10 * k, 1, tags.READ_PULSE,
+                 int(protocol.window_geometry(cfg, delays[k])[0, 1]) + 100)]
+        stream = self.stream_for(cfg, good + [(trial, 0, label, time_ps)], 60)
+        with pytest.raises(tags.TagFormatError,
+                           match=rf"outside its labelled pulse window \(trial {trial}\)"):
+            A.tabulate(stream, cfg)
+        ok = A.tabulate(self.stream_for(cfg, good, 60), cfg)[delays[k]].counters()
+        assert (ok["N_W1"], ok["N_R2"], ok["N_WR"]) == (1, 1, 1)
 
     def test_trial_count_mismatch_rejected(self, default_config):
         stream = self.stream_for(default_config, [], 10)
@@ -232,7 +255,7 @@ def dense_flags(stream, config, k, read_window_ns=None):
     rec = stream.records[stream.records["trial_index"] // n == k]
     if read_window_ns is not None:
         delta_t = config.protocol.delta_t_list_ns[k]
-        end = (protocol.read_window_start_ps(config, delta_t)
+        end = (int(protocol.window_geometry(config, delta_t)[0, 1])
                + round(read_window_ns * 1000))
         rec = rec[(rec["pulse_label"] == tags.WRITE_PULSE) | (rec["time_ps"] < end)]
     local = (rec["trial_index"] % n).astype(np.int64)
@@ -455,28 +478,3 @@ class TestExponentialFit:
             A.fit_exponential([0, 1, 1, 2], [1, 2, 3, 4], "decay")
         with pytest.raises(ValueError):
             A.fit_exponential([0, 1, 2, 3], [1, 2, 3, 4], "sigmoid")
-
-
-class TestHeraldedChain:
-    def test_heralded_autocorr_value(self):
-        assert A.heralded_autocorr(19.6) == pytest.approx(0.215, abs=0.005)
-
-    def test_heralded_autocorr_undefined_at_or_below_1(self):
-        with pytest.raises(ValueError):
-            A.heralded_autocorr(1.0)
-
-    def test_fock_fidelity_headline_point(self):
-        p0, p1, p_multi = A.fock_fidelity(0.215, 0.04)
-        assert p0 == 0.04
-        assert p1 == pytest.approx(0.877, abs=0.005)
-        assert p0 + p1 + p_multi == pytest.approx(1.0, abs=1e-12)
-
-    def test_fock_fidelity_pure_single_photon(self):
-        p0, p1, p_multi = A.fock_fidelity(0.0, 0.0)
-        assert (p0, p1, p_multi) == (0.0, 1.0, 0.0)
-
-    def test_fock_fidelity_validates(self):
-        with pytest.raises(ValueError):
-            A.fock_fidelity(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            A.fock_fidelity(0.2, 1.0)

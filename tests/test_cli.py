@@ -299,6 +299,28 @@ class TestExitCodes:
         assert run(["analyze", tmp_path / "nope.tags",
                     "--out", tmp_path / "o"]) == 4
 
+    @pytest.mark.parametrize("argv, path", [
+        (["analyze", "adir", "--trials", 1000, "--out", "o"], "adir"),
+        (["simulate", "--config", "adir", "--out", "s.tags"], "adir"),
+        (["calibrate-heating", "--target", "adir", "--out", "fit.json"], "adir"),
+        (["simulate", "--trials", 1000, "--out", "adir"], "adir"),
+        (["thermometry", "--out", "adir"], "adir"),
+        (["analyze", "run.tags", "--trials", 1000, "--out", "afile"], "afile"),
+    ], ids=["analyze-stream", "simulate-config", "calibrate-target", "simulate-out",
+            "thermometry-out", "analyze-out"])
+    def test_unopenable_path_is_4(self, tmp_path, monkeypatch, capsys, argv, path):
+        # a directory where a file belongs, or a file where a directory
+        # belongs: permission bits would not stop a test run as root
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--trials", 1000, "--out", "run.tags"]) == 0
+        Path("adir").mkdir()
+        Path("afile").write_text("")
+        capsys.readouterr()
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and path in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["thermometry", "--pulses", 2, "--out", "t.json"],
         ["reproduce", "--figure", "fig2", "--trials", 2, "--out", "figs"],

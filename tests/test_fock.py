@@ -190,3 +190,28 @@ def test_beam_splitter_truncation_guard():
     state = tmsv(0.1, n_max=10)
     with pytest.raises(F.TruncationError):
         F.beam_splitter(state, 0.5)
+
+
+class TestHeraldedChain:
+    def test_heralded_autocorr_value(self):
+        assert F.heralded_autocorr(19.6) == pytest.approx(0.215, abs=0.005)
+
+    def test_heralded_autocorr_undefined_at_or_below_1(self):
+        with pytest.raises(ValueError):
+            F.heralded_autocorr(1.0)
+
+    def test_fock_fidelity_headline_point(self):
+        p0, p1, p_multi = F.fock_fidelity(0.215, 0.04)
+        assert p0 == 0.04
+        assert p1 == pytest.approx(0.877, abs=0.005)
+        assert p0 + p1 + p_multi == pytest.approx(1.0, abs=1e-12)
+
+    def test_fock_fidelity_pure_single_photon(self):
+        p0, p1, p_multi = F.fock_fidelity(0.0, 0.0)
+        assert (p0, p1, p_multi) == (0.0, 1.0, 0.0)
+
+    def test_fock_fidelity_validates(self):
+        with pytest.raises(ValueError):
+            F.fock_fidelity(-0.1, 0.0)
+        with pytest.raises(ValueError):
+            F.fock_fidelity(0.2, 1.0)

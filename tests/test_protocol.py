@@ -171,7 +171,7 @@ class TestSampling:
         stream = protocol.sample_trials(fast_config, tables, 30_000)
         rec = stream.records
         write_len = int(fast_config.chain.window_write_ns * 1000)
-        read_start = protocol.read_window_start_ps(fast_config, 100.0)
+        read_start = int(protocol.window_geometry(fast_config, 100.0)[0, 1])
         read_len = int(fast_config.chain.window_read_ns * 1000)
         w = rec["pulse_label"] == tags.WRITE_PULSE
         assert (rec["time_ps"][w] < write_len).all()
@@ -188,7 +188,7 @@ class TestSampling:
         assert stream.trial_count == 2 * n
         second = stream.records["trial_index"] >= n
         starts = stream.records["time_ps"][second & (stream.records["pulse_label"] == 1)]
-        assert (starts >= protocol.read_window_start_ps(cfg, 300.0)).all()
+        assert (starts >= int(protocol.window_geometry(cfg, 300.0)[0, 1])).all()
 
     def test_golden_stream(self, fast_config, monkeypatch):
         # pins the stream bytes of this config and seed, which no sampler

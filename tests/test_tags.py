@@ -1,6 +1,7 @@
 """Binary time-tag stream: bit-exact round-trips, malformed-file rejection."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def test_empty_stream_round_trip(tmp_path):
     loaded = tags.read_tagstream(path)
     assert len(loaded) == 0
     assert loaded.trial_count == 10
+
+
+def test_read_holds_one_copy_of_the_records(tmp_path):
+    stream = sample_stream(n=100_000, trials=10 ** 6)
+    path = tmp_path / "big.tags"
+    tags.write_tagstream(stream, path)
+    tracemalloc.start()
+    try:
+        loaded = tags.read_tagstream(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.records.tobytes() == stream.records.tobytes()
+    # the records array plus a few small temporaries of the field checks
+    assert peak <= 1.2 * loaded.records.nbytes
 
 
 def test_record_layout_is_24_bytes():
