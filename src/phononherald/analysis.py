@@ -219,6 +219,22 @@ class TrialTable:
 
     def __post_init__(self):
         self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
+        self._coincidences = {}  # trial offset -> W/R coincidences, counted once
+
+    def _cross_coincidences(self, dn: int) -> int:
+        """W clicks at trial n with an R click at trial n + dn."""
+        if dn not in self._coincidences:
+            # clicked trials ``lag`` places apart are >= ``lag`` trials apart,
+            # so stop once every gap exceeds |dn|
+            c, d, coinc = self.clicked, abs(dn), 0
+            early, late = (self.is_write, self.is_read)[::1 if dn >= 0 else -1]
+            for lag in range(c.size):
+                gap = c[lag:] - c[:c.size - lag]
+                if gap.min() > d:
+                    break
+                coinc += int(np.count_nonzero((gap == d) & early[:c.size - lag] & late[lag:]))
+            self._coincidences[dn] = coinc
+        return self._coincidences[dn]
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
@@ -285,27 +301,21 @@ def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
     """Cross-correlation between write of trial n and read of trial n+delta_n.
 
     An int is one offset; a sequence of nonzero offsets gives a single
-    estimate pooling their coincidences and trial pairs.
+    estimate pooling their coincidences and trial pairs. The table counts
+    each offset's coincidences once, so pooling offsets already estimated
+    one by one only sums their counts.
     """
     t = table.trials
     pooled = np.ndim(delta_n) > 0
     offsets = list(delta_n) if pooled else [delta_n]
-    c, coinc, pairs = table.clicked, 0, 0
+    coinc, pairs = 0, 0
     for dn in offsets:
-        d = abs(dn)
-        if pooled and (dn == 0 or t - d < 1):
+        if pooled and (dn == 0 or t - abs(dn) < 1):
             raise EstimatorError(f"invalid pooled offset {dn}")
-        if t - d < 1:
+        if t - abs(dn) < 1:
             raise EstimatorError(f"offset {dn} leaves no trial pairs")
-        # W clicks at n with an R click at n + dn: clicked trials ``lag`` places
-        # apart are >= ``lag`` trials apart, so stop once every gap exceeds |dn|
-        early, late = (table.is_write, table.is_read)[::1 if dn >= 0 else -1]
-        for lag in range(c.size):
-            gap = c[lag:] - c[:c.size - lag]
-            if gap.min() > d:
-                break
-            coinc += int(np.count_nonzero((gap == d) & early[:c.size - lag] & late[lag:]))
-        pairs += t - d
+        coinc += table._cross_coincidences(dn)
+        pairs += t - abs(dn)
     n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
     counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r,
               "T": t, "delta_n": offsets if pooled else delta_n}

@@ -329,6 +329,11 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
+_THREADS_HELP = ("sampler workers: forked processes, at most one per core "
+                 "(POSIX; one where os.fork is missing); any count gives "
+                 "the same bytes")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phononherald",
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output tag-stream path")
     p.add_argument("--delta-t-ns", type=float, nargs="+",
                    help="override write->read delays (ns)")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="correlation analysis of a tag stream")
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--figure", required=True, choices=sorted(_FIGURES))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("calibrate-heating", help="fit the heating amplitude")

@@ -20,7 +20,7 @@ click times, which makes 1e7+ trials cheap and embarrassingly parallel.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,13 +163,59 @@ def _sample_chunk(table: OutcomeTable, config: ExperimentConfig, seed: int,
     return tags.make_records(trial, slot & 1, label, time_ps)
 
 
+def _fork_shares(shares, run) -> list:
+    """run(share) -> record arrays, for each share in share order: the first
+    share runs here, each other one in a forked child that writes its
+    records' bytes to a pipe and leaves through ``os._exit``, so it never
+    returns into the caller. No child outlives the call, also on an error."""
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # e.g. out of processes: the finally reaps the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.writelines(run(share))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb", buffering=0)
+        parts = run(shares[0])
+        for pid, pipe in list(children.items()):
+            with pipe:
+                body = pipe.readall()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code or len(body) % tags.RECORD_SIZE:
+                raise ChildProcessError(f"sampler worker {pid} ended with status "
+                                        f"{code} after {len(body)} bytes")
+            parts.append(np.frombuffer(body, dtype=tags.RECORD_DTYPE))
+        return parts
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
                   threads: int = 1) -> tags.TagStream:
     """Draw one click pattern per trial and emit a sorted tag stream.
 
-    Identical configs produce byte-identical streams for any number of
-    threads: every variate is a pure function of (config.seed, trial_index),
-    the seed that the header's config hash covers.
+    ``threads`` workers (forked processes, at most one per core; one where
+    ``os.fork`` is missing) each take a contiguous share of the chunk jobs.
+    Identical configs produce byte-identical streams for any worker count:
+    every variate is a pure function of (config.seed, trial_index), the seed
+    that the header's config hash covers.
     """
     if trials_per_setting is None:
         trials_per_setting = config.protocol.trials
@@ -186,17 +232,16 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
             stop = min(start + SAMPLE_CHUNK, offset + trials_per_setting)
             jobs.append((table, start, stop))
 
-    def run(job):
-        table, start, stop = job
-        return _sample_chunk(table, config, config.seed, start, stop)
+    def run(share):
+        return [_sample_chunk(table, config, config.seed, start, stop)
+                for table, start, stop in share]
 
     # a worker per core at most: more only hold more block buffers
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
+    cores = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    workers = max(1, min(threads, len(jobs), cores))
+    shares = [jobs[len(jobs) * w // workers:len(jobs) * (w + 1) // workers]
+              for w in range(workers)]
+    parts = _fork_shares(shares, run)
     records = (np.concatenate(parts) if parts
                else np.zeros(0, dtype=tags.RECORD_DTYPE))
     return tags.TagStream(config.config_hash(), trials_per_setting * len(settings), records)

@@ -60,7 +60,7 @@ def uniforms(seed: int, trial_indices: np.ndarray,
         raise ValueError(f"draw index {draw} outside [0, {DRAWS_PER_TRIAL})")
     trials = np.asarray(trial_indices, dtype=np.uint64)
     # one counter array, hashed in place: a chunk's peak memory stays a few
-    # arrays, whatever the threads interleave
+    # arrays
     with np.errstate(over="ignore"):
         z = trials * np.uint64(DRAWS_PER_TRIAL)
         z += (draws + 1).astype(np.uint64)

@@ -245,8 +245,10 @@ def test_criterion_8_statistics_engine():
 
 
 def test_criterion_9_determinism_and_formats(tmp_path, fast_config, monkeypatch):
-    # a prime chunk length makes 13 jobs, so the thread pool really runs them
+    # a prime chunk length makes 13 jobs, so forked workers get uneven shares;
+    # as many cores as workers, so every worker is forked
     monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+    monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
     tables = [protocol.build_outcome_table(fast_config, 100.0)]
     one = protocol.sample_trials(fast_config, tables, 100_000, threads=1)
     identical = all(

@@ -321,6 +321,27 @@ class TestExitCodes:
         assert err.startswith("I/O error: ") and path in err
         assert "Traceback" not in err
 
+    def test_failed_sampler_worker_is_4(self, tmp_path, monkeypatch, capsys):
+        # a fork copies the patch, so only the forked worker's chunks fail
+        from phononherald import protocol
+        parent, chunk = os.getpid(), protocol._sample_chunk
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise MemoryError("worker out of memory")
+            return chunk(*args)
+
+        monkeypatch.setattr(protocol, "_sample_chunk", failing)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
+        assert run(["simulate", "--trials", 50_000, "--threads", 2,
+                    "--out", tmp_path / "s.tags"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: sampler worker ")
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):  # no child, running or zombie
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("argv", [
         ["thermometry", "--pulses", 2, "--out", "t.json"],
         ["reproduce", "--figure", "fig2", "--trials", 2, "--out", "figs"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -106,8 +107,10 @@ class TestOutcomeTable:
 
 class TestSampling:
     def test_thread_count_does_not_change_bytes(self, fast_config, monkeypatch):
-        # a prime chunk length makes 7 jobs, so the pool really runs them
+        # a prime chunk length makes 7 jobs, so the forked workers really get
+        # uneven shares; as many cores as workers, so every worker is forked
         monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
         tables = [protocol.build_outcome_table(fast_config, 100.0)]
         a = protocol.sample_trials(fast_config, tables, 50_000, threads=1)
         for threads in (2, 4):
@@ -115,23 +118,14 @@ class TestSampling:
             assert a.records.tobytes() == b.records.tobytes()
 
     def test_pool_bounded_by_jobs_and_cores(self, fast_config, monkeypatch):
-        # a recorder stands in for the pool, so no thread is started
+        # a recorder stands in for the fork helper, so no process is started
         workers = []
 
-        class Pool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+        def fork_shares(shares, run):
+            workers.append(len(shares))
+            return [part for share in shares for part in run(share)]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(protocol, "_fork_shares", fork_shares)
         monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 1000)
         tables = [protocol.build_outcome_table(fast_config, 100.0)]
         serial = protocol.sample_trials(fast_config, tables, 5000)
@@ -139,13 +133,66 @@ class TestSampling:
                 (3, 16, 5000, 3),   # cores bound it
                 (8, 16, 2500, 3),   # jobs bound it
                 (8, 2, 5000, 2),    # the request bounds it
-                (None, 16, 5000, None), (1, 16, 5000, None), (8, 16, 1000, None)]:
+                (None, 16, 5000, 1), (1, 16, 5000, 1), (8, 16, 1000, 1)]:
             monkeypatch.setattr(protocol.os, "cpu_count", lambda cores=cores: cores)
             workers.clear()
             stream = protocol.sample_trials(fast_config, tables, trials, threads=threads)
-            assert workers == ([] if want is None else [want])
+            assert workers == [want]
             if trials == 5000:
                 assert stream.records.tobytes() == serial.records.tobytes()
+        # without os.fork, one worker
+        monkeypatch.delattr(protocol.os, "fork")
+        workers.clear()
+        protocol.sample_trials(fast_config, tables, 5000, threads=16)
+        assert workers == [1]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("fault", ["raises", "truncated"])
+    def test_failed_worker_raises_and_leaves_no_child(self, fast_config, monkeypatch,
+                                                      fault, threads):
+        # a fork copies the patch, so only the children's chunks fail: each
+        # raises, or writes a record short and exits 0; at 4 workers the first
+        # child's fault leaves two children for the cleanup to kill and reap
+        parent, chunk = os.getpid(), protocol._sample_chunk
+
+        def failing(*args):
+            records = chunk(*args)
+            if os.getpid() == parent:
+                return records
+            if fault == "raises":
+                raise MemoryError("worker out of memory")
+            return records.view(np.uint8)[:-1]
+
+        monkeypatch.setattr(protocol, "_sample_chunk", failing)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
+        tables = [protocol.build_outcome_table(fast_config, 100.0)]
+        status = "status 1" if fault == "raises" else "status 0"
+        with pytest.raises(ChildProcessError, match=rf"sampler worker \d+ ended with {status}"):
+            protocol.sample_trials(fast_config, tables, 50_000, threads=threads)
+        with pytest.raises(ChildProcessError):  # no child, running or zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_leaves_no_child_or_pipe(self, fast_config, monkeypatch):
+        # the second of three forks fails, as when the system is out of processes
+        fork, forked = os.fork, []
+
+        def second_fork_fails():
+            if forked:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forked.append(fork())
+            return forked[-1]
+
+        monkeypatch.setattr(protocol.os, "fork", second_fork_fails)
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 7919)
+        tables = [protocol.build_outcome_table(fast_config, 100.0)]
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            protocol.sample_trials(fast_config, tables, 50_000, threads=4)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):  # no child, running or zombie
+            os.waitpid(-1, os.WNOHANG)
 
     def test_seed_changes_stream(self, fast_config):
         tables = [protocol.build_outcome_table(fast_config, 100.0)]
@@ -199,6 +246,9 @@ class TestSampling:
         cfg = fast_config.replace(protocol=proto)
         tables = [protocol.build_outcome_table(cfg, dt) for dt in (100.0, 300.0)]
         golden = "5a94ac906add43691a0cd20ae44b5908c57488e2e61d5f750785187435b711ea"
+
+        # two cores, so a forked worker sends ~1.2 MB, many pipe buffers
+        monkeypatch.setattr(protocol.os, "cpu_count", lambda: 2)
 
         def digest():
             stream = protocol.sample_trials(cfg, tables, 300_000, threads=2)
