@@ -11,15 +11,16 @@ With the click POVM of two threshold detectors on one mode
 (``pair_click_matrix``) and pattern-conditioned states
 (``conditional_mech_states``) it is the tests' oracle for the closed-form
 outcome tables of ``protocol``; no production path imports it. The
-heralded-state approximations that the oracle checks sit next to it.
+heralded-state approximations that the oracle checks sit next to it. Like
+the rest of the package it needs numpy and the standard library only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom, xlog1py
 
 from .detection import PATTERN_FROM_SILENT
 
@@ -216,14 +217,12 @@ def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockS
 def loss_kraus(eta: float, n_max: int) -> list[np.ndarray]:
     """Kraus decomposition of the single-mode loss channel."""
     d = n_max + 1
-    ns = np.arange(d)
     ops = []
     for k in range(d):
-        diag = np.zeros(d)
-        idx = ns[ns >= k]
-        diag[idx - k] = np.sqrt(binom(idx, k) * eta ** (idx - k) * (1 - eta) ** k)
+        m = np.arange(d - k)  # K_k maps |m + k> to |m>
+        binom = np.array([math.comb(n, k) for n in range(k, d)], dtype=float)
         kk = np.zeros((d, d))
-        kk[ns[: d - k], ns[: d - k] + k] = diag[: d - k]
+        kk[m, m + k] = np.sqrt(binom * eta ** m * (1 - eta) ** k)
         ops.append(kk)
     return ops
 
@@ -326,7 +325,11 @@ def pair_click_matrix(n_max: int, eta: np.ndarray, log_b: np.ndarray) -> np.ndar
     background factors of ``detection.silent_subsets``. Returns a
     (4, n_max+1) array q[pattern, n] with pattern index 2*click1 + click2.
     """
-    log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
+    # n ln(1 - eta), with 0 ln 0 = 0 at n = 0 when a subset's eta is 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_silent = np.arange(n_max + 1) * np.log1p(-eta[:, None])
+    log_silent[:, 0] = 0.0
+    log_silent += log_b[:, None]
     # click patterns are alternating sums of silent probabilities near 1:
     # sum their complements, which keep full relative accuracy
     q = PATTERN_FROM_SILENT @ np.expm1(log_silent)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, exit codes, run manifests."""
 
+import ast
 import contextlib
 import io
 import json
@@ -67,6 +68,30 @@ def test_cli_does_not_import_fock_oracle():
     _, modules = loaded_modules()
     assert "phononherald.fock" not in modules
     assert not scipy_modules(modules)
+
+
+def test_no_package_module_imports_scipy():
+    """Every import statement of the package, at module level or inside a
+    function, names a module other than scipy: the package needs numpy
+    alone."""
+    found = []
+    for path in sorted(Path(phononherald.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found
+
+
+def test_fock_oracle_imports_without_scipy():
+    code = "import sys; sys.modules['scipy'] = None; import phononherald.fock"
+    subprocess.run([sys.executable, "-c", code], env=fresh_env(), timeout=120,
+                   check=True)
 
 
 def test_no_stage_imports_scipy(tmp_path, fast_config_path):

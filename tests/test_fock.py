@@ -1,11 +1,16 @@
 """Truncated Fock engine: analytic statistics, channel invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import binom, xlog1py
 
+from phononherald import config as config_mod
 from phononherald import fock as F
+from phononherald.detection import PATTERN_FROM_SILENT, silent_subsets
 
 N_MAX = 16
 
@@ -215,3 +220,45 @@ class TestHeraldedChain:
             F.fock_fidelity(-0.1, 0.0)
         with pytest.raises(ValueError):
             F.fock_fidelity(0.2, 1.0)
+
+
+class TestScipyParity:
+    """The oracle's binomials and n ln(1 - eta) exponents come from the
+    standard library and numpy; scipy.special, which supplied them before,
+    is the reference."""
+
+    @pytest.mark.parametrize("n_max", [8, 16, 22])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_loss_kraus(self, eta, n_max):
+        for k, op in enumerate(F.loss_kraus(eta, n_max)):
+            m = np.arange(n_max + 1 - k)
+            want = np.zeros_like(op)
+            want[m, m + k] = np.sqrt(binom(m + k, k) * eta ** m * (1 - eta) ** k)
+            np.testing.assert_array_max_ulp(op, want, maxulp=1)
+
+    @pytest.mark.parametrize("efficiency_sum_1", [False, True])
+    def test_pair_click_matrix(self, default_config, efficiency_sum_1):
+        cfg = default_config
+        if efficiency_sum_1:
+            # subset {1, 2} has eta = 1: its n = 0 exponent is 0 ln 0 = 0
+            cfg = cfg.replace(chain=dataclasses.replace(
+                cfg.chain, eta_fc=1.0, eta_c=1.0, eta_qe1=1.0, eta_qe2=1.0,
+                eta_path1=0.5, eta_path2=0.5))
+            config_mod.check(cfg)
+        n_max = cfg.numerics.n_max
+        for window in (cfg.chain.window_write_ns, cfg.chain.window_read_ns):
+            eta, log_b = silent_subsets(cfg, window)
+            assert (eta[3] == 1.0) == efficiency_sum_1
+            got = F.pair_click_matrix(n_max, eta, log_b)
+            log_silent = xlog1py(np.arange(n_max + 1), -eta[:, None]) + log_b[:, None]
+            complement = np.expm1(log_silent)
+            want = PATTERN_FROM_SILENT @ complement
+            want[0] = np.exp(log_silent[3])
+            # a click pattern is an alternating sum of silent-probability
+            # complements, whose cancellation turns one ulp of a complement
+            # into up to ~1e5 ulp of the pattern: allow one ulp of each
+            # complement the pattern sums, and one ulp of the all-silent row
+            ulp = np.abs(PATTERN_FROM_SILENT) @ np.spacing(np.abs(complement))
+            ulp[0] = np.spacing(want[0])
+            assert np.isfinite(got).all()
+            assert np.all(np.abs(got - want) <= ulp)
