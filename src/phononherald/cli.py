@@ -194,6 +194,11 @@ def cmd_analyze(args) -> int:
 def _thermometry(cfg, pulses):
     if pulses <= 0:
         raise config_mod.ConfigError(f"pulses: {pulses} must be > 0")
+    # every pulse owns its trial counters, as a stream's trials do
+    if pulses // 2 * 2 > config_mod.MAX_TRIALS:
+        raise config_mod.ConfigError(
+            f"pulses: {pulses} give 2 x {pulses // 2} pulses per colour, "
+            f"which must be <= {config_mod.MAX_TRIALS}")
     result = protocol.simulate_thermometry(cfg, pulses)
     return result, analysis.sideband_occupancy(
         result.clicks_red, result.clicks_blue, result.pulses_per_color,

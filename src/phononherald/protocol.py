@@ -291,7 +291,10 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryRe
     asymmetry, (n+1)/n, is the click-probability ratio of the same chain
     without dark counts or pump leak; it is None when the ideal red click
     probability is 0 (n_base = 0). The background is the write-window click
-    probability of dark counts and leak alone.
+    probability of dark counts and leak alone. Each colour's clicks come from
+    ``rng.bernoulli_clicks`` with q = 1 - P(no click), one ``SAMPLE_CHUNK``
+    of pulses at a time: the cost grows with clicks, not pulses. Blue pulses
+    own trials [0, N) and red ones [N, 2N), N pulses per colour.
     """
     if pulses <= 0:
         raise ValueError(f"pulses must be > 0, got {pulses}")
@@ -305,9 +308,12 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryRe
     ideal_asym = blue_ideal / red_ideal if red_ideal > 0 else None
 
     def count_clicks(n_bar, offset):
-        trials, _ = rng.clicked(_sideband_silent_prob(config, n_bar),
-                                config.seed, offset, offset + per_color)
-        return trials.size
+        # each SAMPLE_CHUNK restarts its gaps at its first trial
+        q = 1.0 - _sideband_silent_prob(config, n_bar)
+        stop = offset + per_color
+        return sum(rng.bernoulli_clicks(q, config.seed, start,
+                                        min(start + SAMPLE_CHUNK, stop)).size
+                   for start in range(offset, stop, SAMPLE_CHUNK))
 
     _, log_b = silent_subsets(config, config.chain.window_write_ns)
     return ThermometryResult(per_color, count_clicks(n_blue, 0),

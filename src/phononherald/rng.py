@@ -22,6 +22,14 @@ that every block reuses, on three exact integer identities:
   keeps every click and, beyond them, only the trials that tie with the
   threshold in those bits (one in 2**31); the last step and the exact
   compare run on those few trials only.
+
+``bernoulli_clicks`` finds the same kind of trials, each clicking with
+probability q, in O(clicks) instead: it draws the gap from one click to the
+next, which is Geometric(q), by inversion, G = 1 + floor(ln(1 - u) /
+ln(1 - q)) (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X),
+the "skip" method of Batagelj & Brandes, PRE 71, 036113 (2005). The k-th
+gap of a range [start, stop) takes its u from trial start + k, draw 0;
+every gap is at least one trial, so no counter leaves the range.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT1, _SHIFT2, _SHIFT3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _INV_2_53 = float(2.0 ** -53)
 _BLOCK = 1 << 15  # trials per click-pass block: 3 uint64 buffers of 256 KB
+_GAP_BATCH = 1 << 16  # most gaps drawn at once: a few arrays of 512 KB
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -112,3 +121,40 @@ def clicked(p: float, seed: int, start: int,
             kept.append(near[hashed >= limit].astype(np.uint64) + np.uint64(lo))
     trials = np.concatenate(kept)
     return trials, uniforms(seed, trials, 0)
+
+
+def bernoulli_clicks(q: float, seed: int, start: int, stop: int) -> np.ndarray:
+    """Trials of [start, stop) that click, each one independently with
+    probability q, found by geometric gaps: gap k runs from click k - 1 (or
+    from start - 1) to click k and takes its uniform from trial start + k,
+    draw 0, so the result is a pure function of (q, seed, start, stop)."""
+    n = max(stop - start, 0)
+    if q >= 1.0:
+        return np.arange(start, start + n, dtype=np.uint64)
+    if q <= 0.0 or n == 0:
+        return np.zeros(0, dtype=np.uint64)
+    log_silent = math.log1p(-q)
+    kept = []
+    drawn = 0  # gaps drawn so far: the next one's counter is start + drawn
+    end = 0  # trials [start, start + end) are decided
+    while end < n:
+        left = n - end
+        mean = left * q  # the clicks still to come, plus a 5-sigma margin
+        m = min(left, _GAP_BATCH, math.ceil(mean + 5.0 * math.sqrt(mean) + 8.0))
+        u = uniforms(seed, np.arange(start + drawn, start + drawn + m,
+                                     dtype=np.uint64), 0)
+        with np.errstate(over="ignore"):  # a subnormal q: inf, capped below
+            skips = np.floor(np.log1p(-u) / log_silent)
+        # a gap of left + 1 trials ends past the range, so the cap loses
+        # nothing; it keeps the sums below 2**64 up to the first one past
+        # the range, and later sums are never read
+        ends = np.cumsum(np.minimum(skips, left).astype(np.uint64) + np.uint64(1))
+        ends += np.uint64(end)
+        past = ends > n
+        inside = int(past.argmax()) if past.any() else m
+        clicks = ends[:inside] - np.uint64(1)
+        clicks += np.uint64(start)
+        kept.append(clicks)
+        drawn += m
+        end = n if inside < m else int(ends[-1])
+    return np.concatenate(kept)

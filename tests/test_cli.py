@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phononherald
-from phononherald import cli, config as config_mod
+from phononherald import cli, config as config_mod, protocol
 
 
 def run(argv):
@@ -416,6 +416,34 @@ class TestThermometryCommand:
     def test_bad_pulses_is_2(self, tmp_path):
         assert run(["thermometry", "--pulses", 0,
                     "--out", tmp_path / "t.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["thermometry", "--pulses", 10 ** 23],
+        ["thermometry", "--pulses", 2 ** 62],
+        ["thermometry", "--pulses", config_mod.MAX_TRIALS + 2],
+        ["reproduce", "--figure", "fig2", "--trials", 2 ** 62],
+    ], ids=["thermometry-1e23", "thermometry-2**62", "thermometry-limit+2", "fig2-2**62"])
+    def test_pulses_past_the_counter_limit_are_2(self, tmp_path, capsys, argv):
+        # 2 x pulses per colour above MAX_TRIALS would reuse trial counters:
+        # refused at once, naming the limit, instead of running until killed
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config_mod.MAX_TRIALS) in err
+        assert "Traceback" not in err
+
+    def test_pulse_limit_is_inclusive(self, tmp_path, monkeypatch):
+        # MAX_TRIALS + 1 pulses are 2 x 2**60 per colour, whose last counter
+        # is trial 2**61 - 1: accepted, and handed on as given
+        seen = []
+
+        def counted(cfg, pulses):
+            seen.append(pulses)
+            return protocol.ThermometryResult(pulses // 2, 9, 1, 0.0, None)
+
+        monkeypatch.setattr(cli.protocol, "simulate_thermometry", counted)
+        assert run(["thermometry", "--pulses", config_mod.MAX_TRIALS + 1,
+                    "--out", tmp_path / "t.json"]) == 0
+        assert seen == [config_mod.MAX_TRIALS + 1]
 
 
 class TestReproduce:

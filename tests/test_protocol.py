@@ -301,7 +301,7 @@ class TestThermometry:
     def test_golden_counts(self, default_config):
         # pins the click counts and model floats of this config and seed
         result = protocol.simulate_thermometry(default_config, 2_000_000)
-        assert (result.clicks_blue, result.clicks_red) == (898, 51)
+        assert (result.clicks_blue, result.clicks_red) == (839, 51)
         assert result.ideal_asymmetry == 40.96682226600794
         assert result.background_click_prob == 3.4544602543976194e-05
 
