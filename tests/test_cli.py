@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -257,6 +258,11 @@ class TestExitCodes:
         assert code == 5
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert "error" in summary[0]
+        manifest = json.loads(
+            (tmp_path / "o" / "correlations.csv.manifest.json").read_text())
+        assert manifest["subcommand"] == "analyze"
+        assert manifest["outputs"] == [str(tmp_path / "o" / name) for name in
+                                       ("correlations.csv", "summary.json")]
 
     def test_undefined_bound_keeps_defined_estimates(self, tmp_path):
         # at seed 2 and 1e6 trials neither window has a coincidence, so the
@@ -276,6 +282,51 @@ class TestExitCodes:
         assert set(entry["delta_n"]) == {"1", "2"} and "delta_n_pooled" in entry
         row = (out / "correlations.csv").read_text().splitlines()[1]
         assert row == "100.0," + "nan," * 6 + "false"
+
+    def test_delta_n_from_the_trial_count_is_5(self, tmp_path, capsys,
+                                               fast_config_path):
+        # no offset >= T leaves a trial pair: from N = T on, both offset
+        # estimates are undefined at once, and every other one is written
+        stream = tmp_path / "s.tags"
+        common = ["--config", fast_config_path, "--trials", 1000]
+        assert run(["simulate", "--out", stream, *common]) == 0
+        for delta_n, code in ((999, 0), (1000, 5), (10 ** 20, 5)):
+            out = tmp_path / str(delta_n)
+            assert run(["analyze", stream, "--out", out, "--delta-n", delta_n,
+                        *common]) == code
+            entry, = json.loads((out / "summary.json").read_text())
+            assert "g2_om" in entry and "classical_bound" in entry
+            if code:
+                assert entry["error"] == "offset 1000 leaves no trial pairs"
+                assert "delta_n" not in entry and "delta_n_pooled" not in entry
+            else:
+                assert len(entry["delta_n"]) == 999
+                assert entry["delta_n_pooled"]["counts"]["pairs"] == 999 * 1000 // 2
+            manifest = json.loads((out / "correlations.csv.manifest.json").read_text())
+            assert manifest["overrides"]["delta_n"] == delta_n
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--trials", -5, "--out", "x.tags"],
+         "config error: protocol.trials: -5 must be >= 0"),
+        (["calibrate-heating", "--target", "target.csv", "--out", "fit.json"],
+         "physics error: "),
+        (["analyze", "junk.tags", "--out", "o"], "data format error: "),
+        (["analyze", "nope.tags", "--out", "o"], "I/O error: "),
+        (["thermometry", "--pulses", 2, "--out", "t.json"], "degenerate statistics: "),
+    ], ids=["config", "physics", "format", "io", "degenerate"])
+    def test_each_failure_prints_one_line(self, tmp_path, argv, line):
+        # in a fresh interpreter, so the logging handler writes to the
+        # stderr that is read here
+        (tmp_path / "target.csv").write_text("delta_t_ns,g2_om\n100.0,5000.0\n")
+        (tmp_path / "junk.tags").write_bytes(b"JUNK" * 8)
+        proc = subprocess.run(
+            [sys.executable, "-m", "phononherald.cli", *map(str, argv)],
+            cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode in (2, 3, 4, 5)
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(line)
 
     def test_negative_delta_n_is_2(self, tmp_path, capsys):
         # rejected before the (here missing) stream is read
@@ -381,6 +432,76 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "degenerate statistics" in err
         assert "Traceback" not in err
+
+
+def _every_stage(d, fast, target):
+    """Every subcommand and figure, each with outputs under its own missing
+    ``new/nested`` directory in ``d``, in an order that runs simulate before
+    analyze: name -> (argv, first output, manifest inputs, config,
+    overrides)."""
+    default, fast_cfg = config_mod.default_config(), config_mod.load(fast)
+    out = {name: d / name / "new" / "nested" for name in
+           ("simulate", "analyze", "thermometry", "calibrate-heating", "fig2",
+            "fig3b", "fig3c", "m3")}
+    stream = out["simulate"] / "run.tags"
+
+    def figure(name, first, cfg, *extra, **overrides):
+        return (["reproduce", "--figure", name, *extra, "--out", out[name]],
+                out[name] / first, [str(fast) if "--config" in extra else "<defaults>"],
+                cfg, {"figure": name, "threads": 1, **overrides})
+
+    return {
+        "simulate": (["simulate", "--config", fast, "--out", stream], stream,
+                     [str(fast)], fast_cfg, {"threads": 1}),
+        "analyze": (["analyze", stream, "--config", fast, "--delta-n", 2,
+                     "--out", out["analyze"]], out["analyze"] / "correlations.csv",
+                    [str(stream)], fast_cfg, {"delta_n": 2}),
+        "thermometry": (["thermometry", "--pulses", 200_000, "--out",
+                         out["thermometry"] / "t.json"], out["thermometry"] / "t.json",
+                        ["<defaults>"], default, {"pulses": 200_000}),
+        "calibrate-heating": (["calibrate-heating", "--target", target, "--out",
+                               out["calibrate-heating"] / "fit.json"],
+                              out["calibrate-heating"] / "fit.json",
+                              [str(target)], default, {}),
+        "fig2": figure("fig2", "fig2_thermometry.csv", default.replace(
+            protocol=dataclasses.replace(default.protocol, trials=200_000)),
+            "--trials", 200_000, trials=200_000),
+        "fig3b": figure("fig3b", "fig3b_cross_correlation.csv", fast_cfg,
+                        "--config", fast),
+        "fig3c": figure("fig3c", "fig3c_correlation_decay.csv", default),
+        "m3": figure("m3", "m3_pump_probe.csv", default),
+    }
+
+
+class TestStageRunner:
+    def test_every_stage_writes_into_missing_directories_with_its_manifest(
+            self, tmp_path, fast_config_path):
+        from phononherald import calibrate
+        target = tmp_path / "target.csv"
+        curve = calibrate.model_curve(config_mod.default_config(), (100.0, 700.0), 0.3)
+        target.write_text("delta_t_ns,g2_om\n" + "".join(
+            f"{dt},{g}\n" for dt, g in zip((100.0, 700.0), curve)))
+        for name, (argv, first, inputs, cfg, overrides) in _every_stage(
+                tmp_path, fast_config_path, target).items():
+            assert run(argv) == 0, name
+            manifest = json.loads(
+                first.with_name(first.name + ".manifest.json").read_text())
+            assert manifest["subcommand"] == argv[0], name
+            assert manifest["inputs"] == inputs, name
+            assert manifest["outputs"][0] == str(first), name
+            # the outputs and the manifest, and nothing else
+            assert sorted(p.name for p in first.parent.iterdir()) == sorted(
+                [Path(p).name for p in manifest["outputs"]]
+                + [first.name + ".manifest.json"]), name
+            assert manifest["config_hash"] == f"{cfg.config_hash():016x}", name
+            assert manifest["overrides"] == overrides, name
+
+    def test_failed_stage_creates_no_directory(self, tmp_path, capsys):
+        # the rate-asymmetry pole of 2 pulses is found before any output
+        assert run(["thermometry", "--pulses", 2,
+                    "--out", tmp_path / "new" / "nested" / "t.json"]) == 5
+        assert "degenerate statistics" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 class TestThermometryCommand:
