@@ -219,22 +219,26 @@ class TrialTable:
 
     def __post_init__(self):
         self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
-        self._coincidences = {}  # trial offset -> W/R coincidences, counted once
+        # the widest lag sweep so far (none yet): _counts[_reach + dn] for |dn| <= _reach
+        self._reach, self._counts = -1, np.zeros(0, dtype=np.int64)
 
-    def _cross_coincidences(self, dn: int) -> int:
-        """W clicks at trial n with an R click at trial n + dn."""
-        if dn not in self._coincidences:
-            # clicked trials ``lag`` places apart are >= ``lag`` trials apart,
-            # so stop once every gap exceeds |dn|
-            c, d, coinc = self.clicked, abs(dn), 0
-            early, late = (self.is_write, self.is_read)[::1 if dn >= 0 else -1]
-            for lag in range(c.size):
-                gap = c[lag:] - c[:c.size - lag]
-                if gap.min() > d:
+    def _cross_coincidences(self, offsets: np.ndarray) -> np.ndarray:
+        """W clicks at trial n with an R click at trial n + dn, for each dn of
+        ``offsets`` (all |dn| < trials); a wider one sweeps at least twice as wide."""
+        reach = int(np.abs(offsets).max(initial=-1))
+        if reach > self._reach:
+            reach = min(max(reach, 2 * self._reach), self.trials - 1)
+            c, w, r = self.clicked, self.is_write, self.is_read
+            counts = np.zeros(2 * reach + 1, dtype=np.int64)
+            counts[reach] = np.count_nonzero(w & r)
+            for lag in range(1, c.size):  # clicks lag places apart are >= lag trials apart
+                gap = c[lag:] - c[:-lag]
+                if not (near := gap <= reach).any():
                     break
-                coinc += int(np.count_nonzero((gap == d) & early[:c.size - lag] & late[lag:]))
-            self._coincidences[dn] = coinc
-        return self._coincidences[dn]
+                np.add.at(counts, reach + gap[near & w[:-lag] & r[lag:]], 1)  # W, then R
+                np.add.at(counts, reach - gap[near & r[:-lag] & w[lag:]], 1)  # R, then W
+            self._reach, self._counts = reach, counts
+        return self._counts[self._reach + offsets]
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
@@ -300,22 +304,18 @@ def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> Correlatio
 def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
     """Cross-correlation between write of trial n and read of trial n+delta_n.
 
-    An int is one offset; a sequence of nonzero offsets gives a single
-    estimate pooling their coincidences and trial pairs. The table counts
-    each offset's coincidences once, so pooling offsets already estimated
-    one by one only sums their counts.
+    An int is one offset; a sequence of nonzero offsets pools the trial
+    pairs and the swept coincidence counts of each, repeats included.
     """
     t = table.trials
     pooled = np.ndim(delta_n) > 0
     offsets = list(delta_n) if pooled else [delta_n]
-    coinc, pairs = 0, 0
-    for dn in offsets:
-        if pooled and (dn == 0 or t - abs(dn) < 1):
-            raise EstimatorError(f"invalid pooled offset {dn}")
-        if t - abs(dn) < 1:
-            raise EstimatorError(f"offset {dn} leaves no trial pairs")
-        coinc += table._cross_coincidences(dn)
-        pairs += t - abs(dn)
+    bad = [dn for dn in offsets if t - abs(dn) < 1 or pooled and dn == 0]
+    if bad:
+        raise EstimatorError(f"invalid pooled offset {bad[0]}" if pooled
+                             else f"offset {bad[0]} leaves no trial pairs")
+    coinc = int(table._cross_coincidences(np.array(offsets, dtype=np.int64)).sum())
+    pairs = t * len(offsets) - sum(map(abs, offsets))
     n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
     counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r,
               "T": t, "delta_n": offsets if pooled else delta_n}

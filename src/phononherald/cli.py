@@ -98,7 +98,7 @@ def _json(obj) -> str:
 def cmd_simulate(cfg, args):
     tables = [protocol.build_outcome_table(cfg, dt)
               for dt in cfg.protocol.delta_t_list_ns]
-    stream = protocol.sample_trials(cfg, tables, threads=args.threads)
+    stream = protocol.sample_trials(cfg, tables, threads=args.threads or 1)
     log.info("sampled %d records in %d trials", len(stream), stream.trial_count)
     return {Path(args.out): lambda path: tags.write_tagstream(stream, path)}, EXIT_OK
 
@@ -155,7 +155,7 @@ def _interval(est):
 
 
 def cmd_analyze(cfg, args):
-    if args.delta_n < 0:
+    if (args.delta_n or 0) < 0:
         raise config_mod.ConfigError(f"delta-n: {args.delta_n} must be >= 0")
     stream = tags.read_tagstream(args.stream)
     if stream.config_hash != cfg.config_hash():
@@ -165,7 +165,7 @@ def cmd_analyze(cfg, args):
     trial_tables = analysis.tabulate(stream, cfg,
                                      read_window_ns=args.read_window_ns)
     rows, summary = [], []
-    for entry in _analyze_tables(trial_tables, args.delta_n):
+    for entry in _analyze_tables(trial_tables, args.delta_n or 0):
         if "error" in entry:
             rows.append([entry["delta_t_ns"]] + ["nan"] * 6 + ["false"])
         else:
@@ -190,6 +190,7 @@ def cmd_analyze(cfg, args):
 
 
 def _thermometry(cfg, pulses):
+    pulses = 1_000_000 if pulses is None else pulses
     if pulses <= 0:
         raise config_mod.ConfigError(f"pulses: {pulses} must be > 0")
     # every pulse owns its trial counters, as a stream's trials do
@@ -217,8 +218,7 @@ def cmd_thermometry(cfg, args):
 
 
 def _reproduce_fig2(cfg, args):
-    result, occ = _thermometry(
-        cfg, 1_000_000 if args.trials is None else args.trials)
+    result, occ = _thermometry(cfg, args.trials)
     asym = (result.rate_blue_corrected / result.rate_red_corrected
             if result.rate_red_corrected > 0 else float("inf"))
     return {"fig2_thermometry.csv": _csv(
@@ -232,7 +232,7 @@ def _reproduce_fig3b(cfg, args):
     proto = dataclasses.replace(cfg.protocol, delta_t_list_ns=(100.0,))
     cfg = cfg.replace(protocol=proto)
     table = protocol.build_outcome_table(cfg, 100.0)
-    stream = protocol.sample_trials(cfg, [table], threads=args.threads)
+    stream = protocol.sample_trials(cfg, [table], threads=args.threads or 1)
     trial_tables = analysis.tabulate(stream, cfg)
     entry = _analyze_tables(trial_tables, delta_n_max=10)[0]
     if "error" in entry:
@@ -322,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         if trials:
             p.add_argument("--trials", type=int, help="override trials per setting")
         if threads:
-            p.add_argument("--threads", type=_thread_count, default=1, help=(
-                "sampler workers: forked processes, at most one per core (POSIX; "
-                "one where os.fork is missing); any count gives the same bytes"))
+            p.add_argument("--threads", type=_thread_count, help=(
+                "sampler workers (default 1): forked processes, at most one per core "
+                "(POSIX; one where os.fork is missing); any count gives the same bytes"))
         p.add_argument("--out", required=True,
                        help=f"output {out} (missing parents are created)")
         return p
@@ -341,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write->read delays the stream was simulated with")
     p.add_argument("--read-window-ns", type=float,
                    help="trim the read evaluation window (e.g. 30)")
-    p.add_argument("--delta-n", type=int, default=0,
+    p.add_argument("--delta-n", type=int,
                    help="also estimate g2 for trial offsets 1..N")
 
     p = stage("thermometry", cmd_thermometry, "alternating-pulse sideband thermometry",
               "JSON report", trials=False)
-    p.add_argument("--pulses", type=int, default=1_000_000)
+    p.add_argument("--pulses", type=int, help="pulses, both colours (default 1e6)")
 
     p = stage("reproduce", cmd_reproduce, "regenerate figure data series",
               "directory", threads=True)

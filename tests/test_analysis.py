@@ -329,6 +329,91 @@ def test_record_level_counts_match_dense_oracle(fast_config):
                 assert np.array_equal(getattr(again[dt], name), getattr(tables[dt], name))
 
 
+def random_table(trials, p, seed):
+    """A table whose four slots click at random with probability ``p`` each,
+    with its dense W and R flags."""
+    w1, w2, r1, r2 = np.random.default_rng(seed).random((4, trials)) < p
+    return make_table(w1, w2, r1, r2), w1 | w2, r1 | r2
+
+
+class TestLagSweep:
+    """Every offset's count comes from the table's one lag sweep, swept again
+    wider on demand; the dense per-trial flags are the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offsets_in_any_order_match_dense_oracle(self, seed):
+        t = 240
+        table, w, r = random_table(t, 0.08, seed)
+        # a wide offset after narrow ones, narrow ones after it, then all of
+        # them shuffled, negative offsets included
+        rest = np.random.default_rng(seed).permutation(np.arange(-(t - 1), t))
+        for dn in [1, 0, -2, 5, 3, -40, 2, 150, -1, 7, *rest.tolist()]:
+            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
+                dense_offset_coincidences(w, r, dn)), dn
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           calls=st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+    def test_any_call_sequence_matches_dense_oracle(self, t, seed, calls):
+        table, w, r = random_table(t, 0.3, seed)
+        # trial offsets in -(t - 1)..(t - 1), drawn as integers of any size
+        for dn in (c % (2 * t - 1) - (t - 1) for c in calls):
+            try:
+                counts = A.g2_cross_estimate(table, dn).counts
+            except A.EstimatorError:  # no W or no R click: g2 is undefined
+                assert not (w.any() and r.any())
+                continue
+            assert counts["N_coinc"] == dense_offset_coincidences(w, r, dn)
+
+    def test_reach_past_every_gap_and_to_the_last_trial(self):
+        t = 1000
+        w = np.zeros(t, dtype=bool)
+        r = np.zeros(t, dtype=bool)
+        w[[10, 15]] = r[[12, 15]] = True
+        table = make_table(w, np.zeros(t), r, np.zeros(t))
+        for dn in (500, 2, -3, 0, 999, -999, 5, -500, 1):  # 5 is the widest gap
+            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
+                dense_offset_coincidences(w, r, dn)), dn
+        # a pair exactly T - 1 trials apart, either way round
+        for first, last, dn in (("w", "r", t - 1), ("r", "w", -(t - 1))):
+            flags = {"w": np.zeros(t, dtype=bool), "r": np.zeros(t, dtype=bool)}
+            flags[first][0] = flags[last][t - 1] = True
+            edge = make_table(flags["w"], np.zeros(t), flags["r"], np.zeros(t))
+            assert A.g2_cross_estimate(edge, 1).counts["N_coinc"] == 0
+            assert A.g2_cross_estimate(edge, dn).counts["N_coinc"] == 1
+            assert A.g2_cross_estimate(edge, -dn).counts["N_coinc"] == 0
+            assert A.g2_cross_estimate(edge, range(1, t)).counts["N_coinc"] == (
+                1 if dn > 0 else 0)
+
+    def test_no_click_and_single_click_tables(self):
+        t = 50
+        empty = make_table(*np.zeros((4, t)))
+        for dn in (0, 3, -(t - 1), t - 1):
+            with pytest.raises(A.EstimatorError, match="zero single"):
+                A.g2_cross_estimate(empty, dn)
+        with pytest.raises(A.EstimatorError, match="zero single"):
+            A.g2_cross_estimate(empty, range(1, t))
+        single = np.zeros((4, t))
+        single[[0, 2], 17] = 1  # W1 and R1 of trial 17
+        table = make_table(*single)
+        for dn in (t - 1, 0, 1, -1, -(t - 1), 20):
+            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (dn == 0)
+        assert A.g2_cross_estimate(table, 0).value == pytest.approx(t)
+
+    def test_pooled_sums_offsets_in_any_order_once_per_occurrence(self):
+        t = 300
+        table, w, r = random_table(t, 0.1, 7)
+        for offsets in ([3, -2, 3, 7, 1], [-(t - 1), 12, -12, 12, t - 1],
+                        list(range(t - 1, 0, -1)), [5]):
+            pooled = A.g2_cross_estimate(table, offsets).counts
+            assert pooled["N_coinc"] == sum(
+                dense_offset_coincidences(w, r, dn) for dn in offsets)
+            assert pooled["N_coinc"] == sum(
+                A.g2_cross_estimate(table, dn).counts["N_coinc"] for dn in offsets)
+            assert pooled["pairs"] == sum(t - abs(dn) for dn in offsets)
+            assert pooled["delta_n"] == offsets
+
+
 def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):
     x1 = np.zeros(t, dtype=bool)
     x2 = np.zeros(t, dtype=bool)

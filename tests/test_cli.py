@@ -448,11 +448,11 @@ def _every_stage(d, fast, target):
     def figure(name, first, cfg, *extra, **overrides):
         return (["reproduce", "--figure", name, *extra, "--out", out[name]],
                 out[name] / first, [str(fast) if "--config" in extra else "<defaults>"],
-                cfg, {"figure": name, "threads": 1, **overrides})
+                cfg, {"figure": name, **overrides})
 
     return {
         "simulate": (["simulate", "--config", fast, "--out", stream], stream,
-                     [str(fast)], fast_cfg, {"threads": 1}),
+                     [str(fast)], fast_cfg, {}),
         "analyze": (["analyze", stream, "--config", fast, "--delta-n", 2,
                      "--out", out["analyze"]], out["analyze"] / "correlations.csv",
                     [str(stream)], fast_cfg, {"delta_n": 2}),
@@ -495,6 +495,28 @@ class TestStageRunner:
                 + [first.name + ".manifest.json"]), name
             assert manifest["config_hash"] == f"{cfg.config_hash():016x}", name
             assert manifest["overrides"] == overrides, name
+
+    def test_manifest_records_only_the_flags_given(self, tmp_path, fast_config_path):
+        # a flag left at its default is no override; one given is recorded,
+        # even with its default value
+        def overrides(first):
+            return json.loads(first.with_name(first.name + ".manifest.json")
+                              .read_text())["overrides"]
+
+        common = ["--config", fast_config_path, "--trials", 1000]
+        stream = tmp_path / "s.tags"
+        for extra, expected in (([], {"trials": 1000}),
+                                (["--threads", 1], {"trials": 1000, "threads": 1})):
+            assert run(["simulate", "--out", stream, *common, *extra]) == 0
+            assert overrides(stream) == expected
+        for extra, expected in (([], {"trials": 1000}),
+                                (["--delta-n", 0], {"trials": 1000, "delta_n": 0})):
+            out = tmp_path / f"analysis{len(extra)}"
+            assert run(["analyze", stream, "--out", out, *common, *extra]) == 0
+            assert overrides(out / "correlations.csv") == expected
+        therm = tmp_path / "t.json"
+        assert run(["thermometry", "--out", therm]) == 0
+        assert overrides(therm) == {}
 
     def test_failed_stage_creates_no_directory(self, tmp_path, capsys):
         # the rate-asymmetry pole of 2 pulses is found before any output
