@@ -40,7 +40,7 @@ class DegenerateCountsError(EstimatorError):
     """Both autocorrelation inputs carry zero coincidences."""
 
 
-class FitError(Exception):
+class FitError(EstimatorError):
     """Exponential fit failed to converge."""
 
 
@@ -205,6 +205,14 @@ class CorrelationEstimate:
                 "sigma_plus": self.sigma_plus, "counts": dict(self.counts)}
 
 
+def _tally(seen: np.ndarray, counts: np.ndarray, found: list) -> tuple:
+    """Sorted distinct ``seen`` with ``counts``, plus one per value in ``found``."""
+    values, inverse = np.unique(np.concatenate([seen, *found]), return_inverse=True)
+    total = np.bincount(inverse[seen.size:], minlength=values.size)
+    total[inverse[:seen.size]] += counts
+    return values, total
+
+
 @dataclass
 class TrialTable:
     """Clicked trials of one write->read delay setting: the sorted, unique
@@ -219,30 +227,41 @@ class TrialTable:
 
     def __post_init__(self):
         self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
-        # the widest lag sweep so far (none yet): _counts[_reach + dn] for |dn| <= _reach
-        self._reach, self._counts = -1, np.zeros(0, dtype=np.int64)
+        # the widest lag sweep so far (none yet): each offset it found, and its count
+        self._reach, self._sweep = -1, (np.zeros(0, dtype=np.int64),) * 2
 
     def _cross_coincidences(self, offsets: np.ndarray) -> np.ndarray:
         """W clicks at trial n with an R click at trial n + dn, for each dn of
-        ``offsets`` (all |dn| < trials); a wider one sweeps at least twice as wide."""
+        ``offsets`` (all |dn| < trials); a wider one sweeps at least twice as
+        wide. A sweep tallies whenever its untallied offsets outnumber the
+        distinct ones and the clicks: it holds as many, however far it reaches."""
         reach = int(np.abs(offsets).max(initial=-1))
         if reach > self._reach:
             reach = min(max(reach, 2 * self._reach), self.trials - 1)
             c, w, r = self.clicked, self.is_write, self.is_read
-            counts = np.zeros(2 * reach + 1, dtype=np.int64)
-            counts[reach] = np.count_nonzero(w & r)
-            for lag in range(1, c.size):  # clicks lag places apart are >= lag trials apart
-                gap = c[lag:] - c[:-lag]
-                if not (near := gap <= reach).any():
-                    break
-                np.add.at(counts, reach + gap[near & w[:-lag] & r[lag:]], 1)  # W, then R
-                np.add.at(counts, reach - gap[near & r[:-lag] & w[lag:]], 1)  # R, then W
-            self._reach, self._counts = reach, counts
-        return self._counts[self._reach + offsets]
+            tally, found, held = (np.zeros(1, dtype=np.int64), np.array([np.count_nonzero(w & r)])), [], 0
+            for lo in range(0, c.size, tags.BLOCK_RECORDS):
+                for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
+                    a = slice(lo, min(lo + tags.BLOCK_RECORDS, c.size - lag))
+                    b = slice(a.start + lag, a.stop + lag)
+                    gap = c[b] - c[a]
+                    if not (near := gap <= reach).any():
+                        break
+                    found += [gap[near & w[a] & r[b]], -gap[near & r[a] & w[b]]]  # W->R, R->W
+                    held += found[-2].size + found[-1].size
+                    if held > tally[0].size + c.size:
+                        tally, found, held = _tally(*tally, found), [], 0
+            self._reach, self._sweep = reach, _tally(*tally, found)
+        seen, counts = self._sweep
+        at = np.minimum(np.searchsorted(seen, offsets), seen.size - 1)
+        return np.where(seen[at] == offsets, counts[at], 0)
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
-        counts = np.bincount(self.patterns, minlength=16)
+        # a block at a time: np.bincount copies its input to intp
+        counts = sum((np.bincount(self.patterns[i:i + tags.BLOCK_RECORDS], minlength=16)
+                      for i in range(0, self.patterns.size, tags.BLOCK_RECORDS)),
+                     np.zeros(16, dtype=np.int64))
         counts[0] = self.trials - self.clicked.size
         return counts
 
@@ -270,28 +289,38 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     # [setting, start|length, pulse label], of the configured and the trimmed windows
     full, trimmed = (np.array([window_geometry(config, dt, ns) for dt in settings])
                      for ns in (None, read_window_ns))
-    rec = stream.records
-    setting, label = rec["trial_index"] // trials, rec["pulse_label"]
-    # time past the window start; before it, the uint64 difference wraps
-    # beyond every length, so one compare checks both window edges
-    offset = rec["time_ps"] - full[setting, 0, label]
-    bad = offset >= full[setting, 1, label]
-    if bad.any():
-        raise tags.TagFormatError("record time outside its labelled pulse window "
-                                  f"(trial {int(rec['trial_index'][bad.argmax()])})")
-    keep = offset < trimmed[setting, 1, label]
-    del setting, offset  # a record-length array each: not held through the sort
-    # one sort of the (global trial, slot) keys, 4 * trial + slot < 4 * 2**61,
-    # groups each trial's records in any record order, and OR-ing their bits
-    # ignores repeated records
-    key = rec["trial_index"][keep].view(np.int64) * 4 + 2 * label[keep] + rec["detector"][keep]
+    # one (global trial, slot) key per kept record, 4 * trial + slot < 4 * 2**61,
+    # filled a block at a time: one sort groups each trial's records in any
+    # record order, and OR-ing their bits ignores repeated records
+    key, n = np.empty(len(stream), dtype=np.int64), 0
+    for rec in stream.blocks():
+        setting, label = rec["trial_index"] // trials, rec["pulse_label"]
+        # time past the window start; before it, the uint64 difference wraps
+        # beyond every length, so one compare checks both window edges
+        offset = rec["time_ps"] - full[setting, 0, label]
+        bad = offset >= full[setting, 1, label]
+        if bad.any():
+            raise tags.TagFormatError("record time outside its labelled pulse window "
+                                      f"(trial {int(rec['trial_index'][bad.argmax()])})")
+        keep = offset < trimmed[setting, 1, label]
+        kept = rec["trial_index"][keep].view(np.int64) * 4 + 2 * label[keep] + rec["detector"][keep]
+        key[n:n + kept.size], n = kept, n + kept.size
+    key = key[:n]
     key.sort()
-    first = np.flatnonzero(np.diff(key >> 2, prepend=-1))
-    patterns = np.bitwise_or.reduceat(SLOT_BITS[key & 3], first)
-    clicked = key[first] >> 2
+    # blocks cut where a trial starts write its trials over the keys they read
+    cuts = np.searchsorted(key, key[::tags.BLOCK_RECORDS] & ~3)
+    patterns, m = np.empty(n, dtype=np.uint8), 0
+    for lo, hi in zip(cuts, [*cuts[1:], n]):
+        trial = key[lo:hi] >> 2
+        first = np.flatnonzero(np.diff(trial, prepend=-1))
+        patterns[m:m + first.size] = np.bitwise_or.reduceat(SLOT_BITS[key[lo:hi] & 3], first)
+        key[m:m + first.size], m = trial[first], m + first.size
+    clicked, patterns = key[:m], patterns[:m]
     bounds = np.searchsorted(clicked, np.arange(len(settings) + 1) * trials)
-    return {dt: TrialTable(dt, trials, clicked[lo:hi] - k * trials, patterns[lo:hi])
-            for k, (dt, lo, hi) in enumerate(zip(settings, bounds, bounds[1:]))}
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        clicked[lo:hi] -= k * trials  # each setting's own trial indices
+    return {dt: TrialTable(dt, trials, clicked[lo:hi], patterns[lo:hi])
+            for dt, lo, hi in zip(settings, bounds, bounds[1:])}
 
 
 def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> CorrelationEstimate:

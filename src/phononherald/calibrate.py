@@ -15,14 +15,10 @@ import numpy as np
 
 from .analysis import _golden_section
 from .config import ConfigError, ExperimentConfig
-from .protocol import build_outcome_table
+from .protocol import CalibrationError, build_outcome_table
 
 A_HEAT_BOUNDS = (0.0, 5.0)
 RESIDUAL_REL_TOL = 0.05
-
-
-class CalibrationError(Exception):
-    """No heating amplitude in the search bounds reproduces the target."""
 
 
 def model_curve(config: ExperimentConfig, delta_ts, a_heat: float) -> np.ndarray:

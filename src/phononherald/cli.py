@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 config error, 3 physics error (unreachable
 calibration target), 4 data-format or I/O error, 5 degenerate statistics
 (e.g. an empty stream, a rate-asymmetry pole, a failed fit or a --delta-n
 of at least the trials per setting); each failure prints one stderr line.
-Set PHONONHERALD_LOG=debug|info|warning for verbosity.
+Set PHONONHERALD_LOG=debug|info|warning for verbosity. A stage imports
+``analysis`` and ``calibrate`` only if it uses them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, calibrate, config as config_mod, protocol, tags
+from . import __version__, config as config_mod, protocol, tags
 
 EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS, EXIT_FORMAT, EXIT_DEGENERATE = 0, 2, 3, 4, 5
 
@@ -38,9 +39,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS, EXIT_FORMAT, EXIT_DEGENERATE = 0, 2, 3, 4, 5
 # exception takes the entry of the nearest class in its MRO
 _FAILURES = {
     config_mod.ConfigError: (EXIT_CONFIG, "config error"),
-    calibrate.CalibrationError: (EXIT_PHYSICS, "physics error"),
-    analysis.EstimatorError: (EXIT_DEGENERATE, "degenerate statistics"),
-    analysis.FitError: (EXIT_DEGENERATE, "degenerate statistics"),
+    protocol.CalibrationError: (EXIT_PHYSICS, "physics error"),
+    protocol.EstimatorError: (EXIT_DEGENERATE, "degenerate statistics"),  # a FitError too
     tags.TagFormatError: (EXIT_FORMAT, "data format error"),
     OSError: (EXIT_FORMAT, "I/O error"),
 }
@@ -108,13 +108,15 @@ def _estimate(entry, key, fn, *args):
     first one's message goes under entry["error"]."""
     try:
         entry[key] = fn(*args)
-    except analysis.EstimatorError as exc:
+    except protocol.EstimatorError as exc:
         entry.setdefault("error", str(exc))
 
 
-def _analyze_tables(trial_tables, delta_n_max):
+def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     """Each setting's counters and every estimate that its counts define,
     keyed in the order summary.json lists them."""
+    from . import analysis
+    trial_tables = analysis.tabulate(stream, cfg, read_window_ns=read_window_ns)
     write = {}  # the WRITE autocorrelation pools every setting: estimated once
     _estimate(write, "g2_auto_write", analysis.g2_auto_estimate, trial_tables, "WRITE")
     results = []
@@ -162,10 +164,8 @@ def cmd_analyze(cfg, args):
         raise tags.TagFormatError(
             f"stream config hash {stream.config_hash:016x} does not match "
             f"config {cfg.config_hash():016x} (stream/config drift)")
-    trial_tables = analysis.tabulate(stream, cfg,
-                                     read_window_ns=args.read_window_ns)
     rows, summary = [], []
-    for entry in _analyze_tables(trial_tables, args.delta_n or 0):
+    for entry in _analyze_stream(stream, cfg, args.read_window_ns, args.delta_n or 0):
         if "error" in entry:
             rows.append([entry["delta_t_ns"]] + ["nan"] * 6 + ["false"])
         else:
@@ -198,6 +198,7 @@ def _thermometry(cfg, pulses):
         raise config_mod.ConfigError(
             f"pulses: {pulses} give 2 x {pulses // 2} pulses per colour, "
             f"which must be <= {config_mod.MAX_TRIALS}")
+    from . import analysis
     result = protocol.simulate_thermometry(cfg, pulses)
     return result, analysis.sideband_occupancy(
         result.clicks_red, result.clicks_blue, result.pulses_per_color,
@@ -233,10 +234,9 @@ def _reproduce_fig3b(cfg, args):
     cfg = cfg.replace(protocol=proto)
     table = protocol.build_outcome_table(cfg, 100.0)
     stream = protocol.sample_trials(cfg, [table], threads=args.threads or 1)
-    trial_tables = analysis.tabulate(stream, cfg)
-    entry = _analyze_tables(trial_tables, delta_n_max=10)[0]
+    entry = _analyze_stream(stream, cfg, None, delta_n_max=10)[0]
     if "error" in entry:
-        raise analysis.EstimatorError(f"fig3b at 100 ns: {entry['error']}")
+        raise protocol.EstimatorError(f"fig3b at 100 ns: {entry['error']}")
     rows = [[0, *_interval(entry["g2_om"]), *_interval(entry["classical_bound"])]]
     rows += [[dn, *_interval(est), "", "", ""] for dn, est in entry["delta_n"].items()]
     return {"fig3b_cross_correlation.csv": _csv(
@@ -253,6 +253,7 @@ def _reproduce_fig3c(cfg, args):
 
 
 def _reproduce_m3(cfg, args):
+    from . import analysis
     # pump pulses in the mechanical-response measurement carried 5x the
     # write energy; scale the calibrated write-pulse heating accordingly
     pump_amplitude = 5.0 * cfg.heating.a_heat
@@ -288,6 +289,7 @@ def cmd_reproduce(cfg, args):
 
 
 def cmd_calibrate_heating(cfg, args):
+    from . import calibrate
     try:
         with open(args.target, newline="") as fh:
             reader = csv.DictReader(fh)

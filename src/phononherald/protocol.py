@@ -37,6 +37,10 @@ class EstimatorError(Exception):
     """Undefined estimate (zero singles, empty table, pole, ...)."""
 
 
+class CalibrationError(Exception):
+    """No heating amplitude in the search bounds reproduces the target."""
+
+
 # a click in record slot 2*pulse_label + detector (W1, W2, R1, R2) sets bit
 # SLOT_BITS[slot] = 8 >> slot of its trial's pattern
 SLOT_BITS = (8 >> np.arange(4)).astype(np.uint8)
@@ -241,10 +245,8 @@ def sample_trials(config: ExperimentConfig, tables, trials_per_setting=None,
     workers = max(1, min(threads, len(jobs), cores))
     shares = [jobs[len(jobs) * w // workers:len(jobs) * (w + 1) // workers]
               for w in range(workers)]
-    parts = _fork_shares(shares, run)
-    records = (np.concatenate(parts) if parts
-               else np.zeros(0, dtype=tags.RECORD_DTYPE))
-    return tags.TagStream(config.config_hash(), trials_per_setting * len(settings), records)
+    return tags.TagStream(config.config_hash(), trials_per_setting * len(settings),
+                          _fork_shares(shares, run))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Header (32 bytes): magic 4s, version u16, reserved u16, config-hash u64
 Records (24 bytes each): trial_index u64, detector u8, pulse_label u8,
 reserved u16 = 0, time_ps u64, pad u32 = 0.
 
-``read_tagstream`` holds the records as a read-only view of the bytes it
-read, and ``write_tagstream`` writes their buffer: neither copies them.
-A read validates every record's fields but not the record order or
+Records move in blocks of at most BLOCK_RECORDS, so no stage holds an
+array as large as the stream. A file stream reads and checks its blocks
+each time they are iterated (so it cannot be written over its own file).
+The checks cover every record's fields but not the record order or
 uniqueness that the sampler produces: the analysis ORs each trial's
 records into one click pattern per clicked trial, so its results depend
 on neither.
@@ -16,7 +17,6 @@ on neither.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ MAGIC = b"PTT1"
 FORMAT_VERSION = 1
 HEADER_STRUCT = struct.Struct("<4sHHQQQ")
 RECORD_SIZE = 24
+BLOCK_RECORDS = 1 << 13  # 192 kB of records: temporaries per block stay small
 
 WRITE_PULSE = 0
 READ_PULSE = 1
@@ -44,17 +45,31 @@ class TagFormatError(Exception):
     """Malformed tag-stream file; message carries the byte position."""
 
 
-@dataclass
 class TagStream:
-    config_hash: int
-    trial_count: int
-    records: np.ndarray  # structured array with RECORD_DTYPE
+    """A stream's header fields and its records in stream order: one
+    RECORD_DTYPE array, a list of them (a sampled stream's parts), or a
+    function that yields them afresh on each call, counted here."""
 
-    def __post_init__(self):
-        self.records = np.asarray(self.records, dtype=RECORD_DTYPE)
+    def __init__(self, config_hash: int, trial_count: int, records):
+        parts = records if isinstance(records, list) else [records]
+        self.config_hash, self.trial_count = config_hash, trial_count
+        self._parts = records if callable(records) else lambda: parts
+        self._count = sum(map(len, self._parts()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._count
+
+    def blocks(self):
+        """The records in stream order, at most BLOCK_RECORDS at a time."""
+        for part in self._parts():
+            yield from (part[i:i + BLOCK_RECORDS] for i in range(0, len(part), BLOCK_RECORDS))
+
+    @property
+    def records(self) -> np.ndarray:
+        """Every record in one array; a stream made of one array returns it."""
+        parts = list(self._parts())
+        return parts[0] if len(parts) == 1 else np.concatenate(
+            [np.zeros(0, dtype=RECORD_DTYPE), *parts])
 
 
 def make_records(trial_index, detector, pulse_label, time_ps) -> np.ndarray:
@@ -69,17 +84,15 @@ def make_records(trial_index, detector, pulse_label, time_ps) -> np.ndarray:
 def write_tagstream(stream: TagStream, path) -> None:
     header = HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, 0,
                                 stream.config_hash & 0xFFFFFFFFFFFFFFFF,
-                                stream.trial_count, len(stream.records))
+                                stream.trial_count, len(stream))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(stream.records).data)
+        fh.writelines(np.ascontiguousarray(block).data for block in stream.blocks())
 
 
 def read_tagstream(path) -> TagStream:
-    # unbuffered, so the body is read into one bytes object, not joined
-    # to a read-ahead buffer
-    with open(path, "rb", buffering=0) as fh:
-        header, body = fh.read(HEADER_STRUCT.size), fh.read()
+    with open(path, "rb") as fh:
+        header = fh.read(HEADER_STRUCT.size)
     if len(header) < HEADER_STRUCT.size:
         raise TagFormatError(f"truncated header: {len(header)} bytes at position 0")
     magic, version, _reserved, cfg_hash, trial_count, record_count = \
@@ -88,18 +101,26 @@ def read_tagstream(path) -> TagStream:
         raise TagFormatError(f"bad magic {magic!r} at position 0")
     if version != FORMAT_VERSION:
         raise TagFormatError(f"unsupported format version {version}")
-    if len(body) % RECORD_SIZE:
-        raise TagFormatError(
-            f"truncated record at position {HEADER_STRUCT.size + len(body) - len(body) % RECORD_SIZE}")
-    records = np.frombuffer(body, dtype=RECORD_DTYPE)  # read-only, not a copy
-    if len(records) != record_count:
-        raise TagFormatError(
-            f"header promises {record_count} records, file holds {len(records)}")
-    for bad, what in ((records["detector"] > 1, "invalid detector id"),
-                      (records["pulse_label"] > 1, "invalid pulse label"),
-                      (records["trial_index"] >= trial_count,
-                       "trial index beyond header trial count")):
-        if bad.any():
-            pos = HEADER_STRUCT.size + int(np.argmax(bad)) * RECORD_SIZE
-            raise TagFormatError(f"{what} at position {pos}")
-    return TagStream(cfg_hash, trial_count, records)
+
+    def blocks():
+        with open(path, "rb") as fh:
+            size = fh.seek(0, 2)
+            if (body := size - HEADER_STRUCT.size) % RECORD_SIZE:
+                raise TagFormatError(f"truncated record at position {size - body % RECORD_SIZE}")
+            if body // RECORD_SIZE != record_count:
+                raise TagFormatError(f"header promises {record_count} records, "
+                                     f"file holds {body // RECORD_SIZE}")
+            fh.seek(HEADER_STRUCT.size)
+            for start in range(0, record_count, BLOCK_RECORDS):
+                block = np.frombuffer(fh.read(min(BLOCK_RECORDS, record_count - start)
+                                              * RECORD_SIZE), dtype=RECORD_DTYPE)
+                for bad, what in ((block["detector"] > 1, "invalid detector id"),
+                                  (block["pulse_label"] > 1, "invalid pulse label"),
+                                  (block["trial_index"] >= trial_count,
+                                   "trial index beyond header trial count")):
+                    if bad.any():
+                        pos = HEADER_STRUCT.size + (start + int(np.argmax(bad))) * RECORD_SIZE
+                        raise TagFormatError(f"{what} at position {pos}")
+                yield block
+
+    return TagStream(cfg_hash, trial_count, blocks)  # counting its records checks them

@@ -2,6 +2,7 @@
 the convolved classical bound, thermometry and fits."""
 
 import dataclasses
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -178,6 +179,42 @@ class TestTabulate:
         stream = self.stream_for(default_config, [], 10)
         with pytest.raises(tags.TagFormatError, match="implies"):
             A.tabulate(stream, with_trials(default_config, 99))
+
+    def test_read_and_tabulate_hold_less_than_the_records(self, fast_config, tmp_path):
+        # blocks of records fill one key array, grouped in place: no array
+        # the size of the stream
+        cfg = with_trials(fast_config, 700_000)
+        stream = protocol.sample_trials(cfg, [protocol.build_outcome_table(cfg, 100.0)])
+        path = tmp_path / "run.tags"
+        tags.write_tagstream(stream, path)
+        del stream
+        tracemalloc.start()
+        try:
+            tables = A.tabulate(tags.read_tagstream(path), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        records = path.stat().st_size // tags.RECORD_SIZE
+        assert records >= 100_000 and tables[100.0].counters()["N_W"] > 0
+        assert peak <= 1.75 * records * tags.RECORD_SIZE
+
+    def test_blocks_of_any_size_give_the_same_tables(self, fast_config, monkeypatch):
+        # record blocks, and the grouping's cuts, fall anywhere in a trial's
+        # records, also inside a run of one repeated record longer than a block
+        cfg = fast_config.replace(protocol=dataclasses.replace(
+            fast_config.protocol, delta_t_list_ns=(100.0, 400.0), trials=3_000))
+        stream = protocol.sample_trials(
+            cfg, [protocol.build_outcome_table(cfg, dt) for dt in (100.0, 400.0)])
+        recs = stream.records
+        messy = tags.TagStream(stream.config_hash, stream.trial_count,
+                               [recs[::-1], np.repeat(recs[7:8], 50), recs[:100]])
+        want = A.tabulate(stream, cfg)
+        for size in (1, 3, 16, 4096):
+            monkeypatch.setattr(tags, "BLOCK_RECORDS", size)
+            for got in (A.tabulate(stream, cfg), A.tabulate(messy, cfg)):
+                for dt in want:
+                    assert np.array_equal(got[dt].clicked, want[dt].clicked)
+                    assert np.array_equal(got[dt].patterns, want[dt].patterns)
 
     def test_invalid_trim_rejected(self, default_config):
         stream = self.stream_for(default_config, [], 10)
@@ -384,6 +421,31 @@ class TestLagSweep:
             assert A.g2_cross_estimate(edge, -dn).counts["N_coinc"] == 0
             assert A.g2_cross_estimate(edge, range(1, t)).counts["N_coinc"] == (
                 1 if dn > 0 else 0)
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    def test_blocks_of_any_size_match_dense_oracle(self, monkeypatch, size):
+        # a sweep pairs each block of clicked trials with those lag places on
+        monkeypatch.setattr(tags, "BLOCK_RECORDS", size)
+        t = 300
+        table, w, r = random_table(t, 0.1, 11)
+        for dn in (3, -7, 0, 40, -(t - 1), 150, 1, t - 1):
+            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
+                dense_offset_coincidences(w, r, dn)), dn
+
+    def test_far_offset_holds_the_offsets_found_not_the_reach(self):
+        # three clicks of W1 and R1 in 1e12 trials: a sweep 1e9 trials wide
+        # holds the offsets it finds, not a count for each offset in reach
+        clicked = np.array([0, 10**6 + 5, 4 * 10**11])
+        table = A.TrialTable(100.0, 10**12, clicked, np.full(3, 10, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            far = A.g2_cross_estimate(table, 10**9).counts["N_coinc"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert far == 0 and peak < 1e6
+        assert [A.g2_cross_estimate(table, dn).counts["N_coinc"] for dn in (
+            10**6 + 5, -(10**6 + 5), 0, 4 * 10**11 - 10**6 - 5, 4 * 10**11)] == [1, 1, 3, 1, 1]
 
     def test_no_click_and_single_click_tables(self):
         t = 50

@@ -115,6 +115,9 @@ def test_no_stage_imports_scipy(tmp_path, fast_config_path):
     for argv in stages:
         code, modules = loaded_modules(argv)
         assert code == 0 and not scipy_modules(modules), argv
+        # a stage imports analysis and calibrate only if it uses them
+        if argv[0] == "simulate" or "fig3c" in argv:
+            assert not {"phononherald.analysis", "phononherald.calibrate"} & modules, argv
 
 
 class TestSimulateAnalyze:

@@ -273,6 +273,22 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_sample_and_write_hold_the_records_once(self, default_config, tmp_path):
+        # the stream is the sampler's parts, written part by part: no second
+        # copy of the records, as a concatenation would make
+        cfg = default_config.replace(protocol=dataclasses.replace(
+            default_config.protocol, trials=110_000_000))
+        tables = [protocol.build_outcome_table(cfg, 100.0)]
+        tracemalloc.start()
+        try:
+            stream = protocol.sample_trials(cfg, tables, threads=1)
+            tags.write_tagstream(stream, tmp_path / "run.tags")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) >= 100_000
+        assert peak <= 1.5 * len(stream) * tags.RECORD_SIZE
+
     def test_table_order_enforced(self, fast_config):
         proto = dataclasses.replace(fast_config.protocol,
                                     delta_t_list_ns=(100.0, 300.0))

@@ -45,18 +45,58 @@ def test_empty_stream_round_trip(tmp_path):
 
 
 def test_read_holds_one_copy_of_the_records(tmp_path):
-    stream = sample_stream(n=100_000, trials=10 ** 6)
-    path = tmp_path / "big.tags"
-    tags.write_tagstream(stream, path)
-    tracemalloc.start()
-    try:
+    # a read checks every record a block at a time and keeps none: its peak
+    # is one block and the field checks' temporaries, at any record count
+    for n in (100_000, 200_000):
+        stream = sample_stream(n=n, trials=10 ** 6)
+        path = tmp_path / f"big{n}.tags"
+        tags.write_tagstream(stream, path)
+        tracemalloc.start()
+        try:
+            loaded = tags.read_tagstream(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.records.tobytes() == stream.records.tobytes()
+        assert peak <= 3 * tags.BLOCK_RECORDS * tags.RECORD_SIZE
+
+
+def test_blocks_keep_stream_order_at_any_block_size(tmp_path, monkeypatch):
+    # a stream of parts writes the bytes of their concatenation, a file's
+    # blocks come back in order, and a stream of one array returns it
+    stream = sample_stream(n=100)
+    parts = [stream.records[:37], stream.records[37:37], stream.records[37:]]
+    for size in (1, 7, 100, 4096):
+        monkeypatch.setattr(tags, "BLOCK_RECORDS", size)
+        path = tmp_path / f"parts{size}.tags"
+        tags.write_tagstream(tags.TagStream(stream.config_hash, 1000, parts), path)
         loaded = tags.read_tagstream(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert loaded.records.tobytes() == stream.records.tobytes()
-    # the records array plus a few small temporaries of the field checks
-    assert peak <= 1.2 * loaded.records.nbytes
+        blocks = list(loaded.blocks())
+        assert len(loaded) == 100 and max(map(len, blocks)) == min(size, 100)
+        assert b"".join(b.tobytes() for b in blocks) == stream.records.tobytes()
+        assert loaded.records.tobytes() == stream.records.tobytes()
+    one = stream.records
+    assert tags.TagStream(0, 1000, one).records is one
+
+
+def test_bad_field_position_in_a_later_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(tags, "BLOCK_RECORDS", 16)
+    stream = sample_stream(n=100)
+    stream.records["pulse_label"][53] = 2
+    path = tmp_path / "late.tags"
+    tags.write_tagstream(stream, path)
+    with pytest.raises(tags.TagFormatError, match=f"label at position {32 + 53 * 24}$"):
+        tags.read_tagstream(path)
+
+
+def test_file_stream_checks_its_blocks_again(tmp_path):
+    # the stream reads its file again on every pass, and checks it again
+    path = tmp_path / "again.tags"
+    tags.write_tagstream(sample_stream(n=10), path)
+    loaded = tags.read_tagstream(path)
+    path.write_bytes(path.read_bytes()[:-24])
+    with pytest.raises(tags.TagFormatError, match="promises 10 records, file holds 9"):
+        list(loaded.blocks())
 
 
 def test_record_layout_is_24_bytes():
