@@ -1,7 +1,6 @@
 """Photon-counting statistics: windowed tabulation, g2 estimators with
 binomial-likelihood confidence intervals, the Cauchy-Schwarz classical
-bound via likelihood convolution, sideband thermometry and exponential
-fits.
+bound, sideband thermometry and exponential fits.
 
 The numerics are numpy and the standard library only: importing scipy
 would cost more than most stages' work. Beta quantiles come from a
@@ -12,13 +11,11 @@ from Stirling-series differences. Exponential fits use variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
 golden-section search, which the heating calibration shares.
 
-All intervals are 68% confidence regions built from the flat-prior
-binomial likelihood L(p) ~ p^N (1-p)^(T-N): the lower/upper uncertainties
-leave 16% probability mass below/above them. For the correlation
-estimators only the coincidence count carries uncertainty; singles are
-held at their maximum-likelihood values (coincidences dominate the error
-budget at these count rates).
-"""
+A g2 interval holds 68% of the flat-prior binomial likelihood of its
+coincidences, L(p) ~ p^N (1-p)^(T-N), 16% beyond each edge; singles are
+held at their maximum-likelihood values, as coincidences dominate the
+error budget. The bound and n_th combine two counts: their intervals are
+profile likelihoods, where the log-likelihood is 1/2 below its peak."""
 
 from __future__ import annotations
 
@@ -32,8 +29,6 @@ from .config import ExperimentConfig
 from .protocol import MASKS, SLOT_BITS, EstimatorError, g2_ratio, window_geometry
 
 TAIL_MASS = 0.16
-BOUND_GRID_POINTS = 4096
-BOUND_GRID_RANGE = (1e-3, 1e3)
 
 
 class DegenerateCountsError(EstimatorError):
@@ -372,69 +367,59 @@ def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimat
     return _scaled_estimate(coinc, t, n1, n2, t, counts)
 
 
-def _g_log_likelihood(n_coinc, n_pairs, scale, t_grid):
-    """Normalized likelihood of t = ln(g) for g = p/(P1*P2).
+def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:
+    """ln L(N/T) - ln L(p) of the binomial likelihood, summed as T times a
+    Kullback-Leibler divergence; infinite at p = 0 or 1 unless N/T is."""
+    p_ml = n_events / n_trials
+    if not 0.0 < p < 1.0:
+        return 0.0 if p == p_ml else math.inf
+    return ((n_events * math.log(p_ml / p) if n_events else 0.0)
+            + (n_trials - n_events) * math.log1p((p - p_ml) / (1.0 - p)))
 
-    This is the binomial likelihood L(p(t)) sampled on the log grid, not a
-    transformed probability density: no Jacobian factor, so its maximum
-    stays exactly at the maximum-likelihood g.
-    """
-    p = np.exp(t_grid) / scale
-    q = np.minimum(p, 1.0)
-    n_miss = n_pairs - n_coinc    # Beta(N+1, T-N+1) density, in log space
-    log_f = np.full_like(p, math.lgamma(n_pairs + 2) - math.lgamma(n_coinc + 1)
-                         - math.lgamma(n_miss + 1))
-    with np.errstate(divide="ignore"):  # ln 0 = -inf: zero likelihood there
-        if n_coinc:  # a zero count contributes exactly 0, even at p = 0
-            log_f += n_coinc * np.log(q)
-        if n_miss:
-            log_f += n_miss * np.log1p(-q)
-    # p > 1 is impossible: zero mass, without exp overflowing out there
-    f = np.exp(np.where(p <= 1.0, log_f, -np.inf))
-    norm = np.trapezoid(f, t_grid)
-    if norm <= 0:
-        raise EstimatorError("autocorrelation likelihood has no mass on the grid")
-    return f / norm
+
+def _likelihood_edge(deficit, inside: float, outside: float) -> float:
+    """Where a unimodal profile's log-likelihood ``deficit`` below its peak at
+    ``inside`` reaches 1/2 towards ``outside`` (68.3%: Wilks, Ann. Math. Stat.
+    9, 60 (1938)), by bisection to the last float; else ``outside``."""
+    if deficit(outside) <= 0.5:
+        return outside
+    while inside != (mid := 0.5 * (inside + outside)) != outside:
+        inside, outside = (mid, outside) if deficit(mid) <= 0.5 else (inside, mid)
+    return inside
 
 
 def classical_bound(auto_write: CorrelationEstimate,
                     auto_read: CorrelationEstimate) -> CorrelationEstimate:
-    """Likelihood of sqrt(g_oo * g_mm) by convolution on a log grid.
-
-    The asymmetric single-likelihoods make the most-likely bound sit at or
-    below the square root of the individual maximum-likelihood values.
-    """
-    sides = []
-    for est in (auto_write, auto_read):
-        c = est.counts
-        if c.get("T", 0) < 1:
-            raise EstimatorError("autocorrelation counts missing trial total")
-        scale = g2_ratio(1.0, c["N_1"], c["N_2"], c["T"])
-        sides.append((c["N_coinc"], c["T"], scale))
-    if sides[0][0] == 0 and sides[1][0] == 0:
+    """Profile likelihood of b = sqrt(g_WW * g_RR) (Rolke, Lopez & Conrad,
+    NIM A 551, 493 (2005)). With g = p * s, a fixed b fixes p_W * p_R; the
+    joint log-likelihood is concave in ln p_W along it, so its maximum is a
+    root of the quadratic of its stationarity condition, and the profile is
+    concave in ln b. The value is the bound of the maximum-likelihood g's:
+    0, with the one-sided interval [0, upper], when a side has no coincidence."""
+    counts = {"write": dict(auto_write.counts), "read": dict(auto_read.counts)}
+    if any(c.get("T", 0) < 1 for c in counts.values()):
+        raise EstimatorError("autocorrelation counts missing trial total")
+    (n_w, t_w, s_w), (n_r, t_r, s_r) = ((c["N_coinc"], c["T"], g2_ratio(
+        1.0, c["N_1"], c["N_2"], c["T"])) for c in counts.values())
+    if n_w == 0 and n_r == 0:
         raise DegenerateCountsError(
             "both autocorrelations have zero coincidences; bound undefined")
+    top = math.sqrt(s_w * s_r)  # the bound at p_W = p_R = 1
 
-    lo, hi = BOUND_GRID_RANGE
-    t_grid = np.linspace(np.log(lo), np.log(hi), BOUND_GRID_POINTS)
-    dt = t_grid[1] - t_grid[0]
-    f1 = _g_log_likelihood(*sides[0], t_grid)
-    f2 = _g_log_likelihood(*sides[1], t_grid)
-    f_sum = np.convolve(f1, f2) * dt    # likelihood of ln(g_oo) + ln(g_mm)
-    s_grid = np.arange(f_sum.size) * dt + 2 * t_grid[0]
-    b_grid = np.exp(0.5 * s_grid)               # bound = sqrt(g_oo * g_mm)
-    b_ml = float(b_grid[np.argmax(f_sum)])
-    # interval: normalize the convolved likelihood against the bound itself
-    # (flat prior in b, not in ln b) so a zero-coincidence side, whose
-    # likelihood is flat over decades of ln g, still yields finite tails
-    pdf_b = f_sum / np.trapezoid(f_sum, b_grid)
-    db = np.diff(b_grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf_b[1:] + pdf_b[:-1]) * db)])
-    cdf /= cdf[-1]
-    lo_q = float(np.interp(TAIL_MASS, cdf, b_grid))
-    hi_q = float(np.interp(1.0 - TAIL_MASS, cdf, b_grid))
-    counts = {"write": dict(auto_write.counts), "read": dict(auto_read.counts)}
-    return CorrelationEstimate(b_ml, max(b_ml - lo_q, 0.0), max(hi_q - b_ml, 0.0), counts)
+    def deficit(b):
+        if not 0.0 < b < top:
+            return math.inf
+        k = (b / top) ** 2  # p_W * p_R
+        # d ln L / d p_W times p_W (1 - p_W) (p_W - k): >= 0 at k, <= 0 at 1
+        qa, qc = n_r - t_w, k * (t_r - n_w)
+        qb = (n_w - n_r) * (1.0 + k) + k * ((t_w - n_w) - (t_r - n_r))
+        q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        p_w = q / qa if qb >= 0.0 else qc / q  # (-qb - sqrt(qb^2 - 4 qa qc)) / (2 qa)
+        return _binomial_deficit(n_w, t_w, p_w) + _binomial_deficit(n_r, t_r, k / p_w)
+
+    value = math.sqrt((n_w / t_w * s_w) * (n_r / t_r * s_r))
+    lower, upper = (_likelihood_edge(deficit, value, end) for end in (0.0, top))
+    return CorrelationEstimate(value, value - lower, upper - value, counts)
 
 
 @dataclass(frozen=True)
@@ -462,30 +447,43 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
 
     ``background`` is the known leak+dark click probability per window,
     subtracted from both rates (it cancels in the denominator). The
-    interval is propagated from the red-count likelihood, which dominates
-    near the ground state.
+    interval is the profile likelihood of both colours' counts: at
+    x = n / (1 + n) the red rate is (1 - x) background + x Gamma_B, and the
+    joint log-likelihood, concave in Gamma_B, peaks between the colours'
+    own maxima. An interval reaching equal rates (x = 1) is an error.
     """
     if pulses < 1:
         raise EstimatorError(f"need at least one pulse per color, got {pulses}")
-    rate_red = clicks_red / pulses
-    rate_blue = clicks_blue / pulses
+    rate_red, rate_blue = clicks_red / pulses, clicks_blue / pulses
     denom = rate_blue - rate_red
     if denom <= 0:
         raise EstimatorError(
             f"rate asymmetry pole: Gamma_B={rate_blue} <= Gamma_R={rate_red}")
-    red_corr = max(rate_red - background, 0.0)
-    value = red_corr / denom
-    p_ml, s_minus, s_plus = binomial_ci(clicks_red, pulses)
+    value = max(rate_red - background, 0.0) / denom
+    xatol = 1e-6 * math.sqrt(rate_blue / pulses)  # of the blue rate's error
 
-    def occ(rate):
-        return max(rate - background, 0.0) / (rate_blue - rate)
+    def profile(x):  # the least joint log-likelihood deficit over Gamma_B
+        if not 0.0 <= x <= 1.0:
+            return math.inf
 
-    hi_rate = min(p_ml + s_plus, rate_blue * (1 - 1e-12))
-    sigma_plus = max(occ(hi_rate) - value, 0.0)
-    sigma_minus = max(value - occ(max(p_ml - s_minus, 0.0)), 0.0)
+        def joint(blue):
+            return (_binomial_deficit(clicks_blue, pulses, blue) + _binomial_deficit(
+                clicks_red, pulses, (1.0 - x) * background + x * blue))
+        blue_at_red = (rate_red - (1.0 - x) * background) / x if x else rate_blue
+        lo, hi = sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0)))
+        return joint(_golden_section(joint, lo, hi, xatol))
+
+    x_ml = value / (1.0 + value)
+    peak = profile(x_ml)
+    x_lo, x_hi = (_likelihood_edge(lambda x: profile(x) - peak, x_ml, end)
+                  for end in (0.0, 1.0))
+    if x_hi == 1.0:
+        raise EstimatorError("red and blue rates agree within the interval: "
+                             "n_th has no upper limit")
     counts = {"clicks_red": clicks_red, "clicks_blue": clicks_blue,
               "pulses": pulses, "background": background}
-    return CorrelationEstimate(value, sigma_minus, sigma_plus, counts)
+    return CorrelationEstimate(value, value - x_lo / (1.0 - x_lo),
+                               x_hi / (1.0 - x_hi) - value, counts)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Statistics: likelihood intervals, tabulation, correlation estimators,
-the convolved classical bound, thermometry and fits."""
+the classical bound, thermometry and fits. The Beta intervals are checked
+against exact binomial sums, and the profile likelihoods of the bound and
+of n_th against scipy's bounded Brent search and brentq."""
 
+import contextlib
 import dataclasses
+import math
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -9,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import xlog1py, xlogy
 from scipy.stats import beta, norm
 
 from phononherald import analysis as A
@@ -485,31 +491,82 @@ def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):
     return A.g2_auto_estimate({100.0: table}, window, 100.0)
 
 
-def beta_pdf_likelihood(n_coinc, n_pairs, scale, t_grid):
-    """Oracle for ``A._g_log_likelihood``: scipy.stats' Beta density."""
-    p = np.exp(t_grid) / scale
-    f = np.where(p <= 1.0, beta(n_coinc + 1, n_pairs - n_coinc + 1).pdf(p), 0.0)
-    return f / np.trapezoid(f, t_grid)
+def binomial_loglik(n, t, p):
+    return xlogy(n, p) + xlog1py(t - n, -p)
+
+
+def bound_oracle(write, read):
+    """The bound sqrt(g_W * g_R) of counts (N_coinc, N_1, N_2, T) by scipy:
+    its value, its profile-likelihood edges, and the profile's deficit
+    below its peak, maximised over ln p_W by the bounded Brent search."""
+    (n_w, n1w, n2w, t_w), (n_r, n1r, n2r, t_r) = write, read
+    top = math.sqrt(t_w * t_w / (n1w * n2w) * t_r * t_r / (n1r * n2r))
+    peak = binomial_loglik(n_w, t_w, n_w / t_w) + binomial_loglik(n_r, t_r, n_r / t_r)
+
+    def deficit(b):
+        k = (b / top) ** 2  # p_W * p_R
+        inner = minimize_scalar(
+            lambda u: -(binomial_loglik(n_w, t_w, math.exp(u))
+                        + binomial_loglik(n_r, t_r, k * math.exp(-u))),
+            bounds=(math.log(k) + 1e-15, -1e-15), method="bounded",
+            options={"xatol": 1e-12})
+        return peak + inner.fun
+
+    def crossing(b):
+        return 2.0 * deficit(b) - 1.0
+    value = top * math.sqrt(n_w / t_w * n_r / t_r)
+    lower = brentq(crossing, top * 1e-12, value, xtol=1e-13) if value else 0.0
+    upper = brentq(crossing, max(value, top * 1e-12), top * (1.0 - 1e-12), xtol=1e-13)
+    return value, lower, upper, deficit
+
+
+def with_counts(*sides):
+    return [A.CorrelationEstimate(0.0, 0.0, 0.0,
+                                  {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
+            for c, n1, n2, t in sides]
+
+
+@contextlib.contextmanager
+def brackets_scaled(factor=1e3):
+    """Every bisection bracket ``factor`` times farther from the peak and
+    every golden-section bracket ``factor`` times wider, inside (0, 1)."""
+    edge, golden = A._likelihood_edge, A._golden_section
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_likelihood_edge", lambda f, inside, outside: edge(
+            f, inside, inside + factor * (outside - inside)))
+        mp.setattr(A, "_golden_section", lambda f, lo, hi, xatol: golden(
+            f, lo / factor, min(hi * factor, 1.0), xatol))
+        yield
+
+
+BOUND_ROWS = {  # (N_coinc, N_1, N_2, T) of WRITE; of READ
+    "criterion-4": ((1, 3565, 5107, 10**7), (0, 569, 850, 10**7)),
+    "zero-side": ((2, 40, 50, 10_000), (0, 20, 30, 10_000)),
+    "zero-side-1e8": ((180, 95_000, 97_000, 10**8), (0, 60_000, 61_000, 10**8)),
+    "small": ((3, 40, 50, 10_000), (1, 20, 30, 10_000)),
+    "headline-1e8": ((180, 95_000, 97_000, 10**8), (45, 60_000, 61_000, 10**8)),
+    "large-counts": ((2500, 2_000_000, 2_100_000, 10**9),
+                     (900, 1_000_000, 1_100_000, 10**9)),
+}
 
 
 class TestClassicalBound:
-    @pytest.mark.parametrize("write, read", [
-        ((2, 40, 50, 10_000), (0, 20, 30, 10_000)),
-        ((180, 95_000, 97_000, 10**8), (0, 60_000, 61_000, 10**8)),
-        ((3, 40, 50, 10_000), (1, 20, 30, 10_000)),
-        ((180, 95_000, 97_000, 10**8), (45, 60_000, 61_000, 10**8)),
-        ((2500, 2_000_000, 2_100_000, 10**9), (900, 1_000_000, 1_100_000, 10**9)),
-    ], ids=["zero-side", "zero-side-1e8", "small", "headline-1e8", "large-counts"])
-    def test_matches_beta_pdf_oracle(self, monkeypatch, write, read):
-        sides = [A.CorrelationEstimate(0.0, 0.0, 0.0,
-                                       {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
-                 for c, n1, n2, t in (write, read)]
-        got = A.classical_bound(*sides)
-        monkeypatch.setattr(A, "_g_log_likelihood", beta_pdf_likelihood)
-        want = A.classical_bound(*sides)
-        assert got.value == want.value
-        assert got.sigma_minus == pytest.approx(want.sigma_minus, rel=1e-12, abs=0)
-        assert got.sigma_plus == pytest.approx(want.sigma_plus, rel=1e-12, abs=0)
+    @pytest.mark.parametrize("write, read, want", [
+        (*BOUND_ROWS["criterion-4"], (0.0, 0.0, 2.6354)),
+        (*BOUND_ROWS["zero-side"], (0.0, 0.0, 9.6474)),
+        (*BOUND_ROWS["zero-side-1e8"], (0.0, 0.0, 0.16347)),
+        (*BOUND_ROWS["small"], (15.811, 8.1687, 26.528)),
+        (*BOUND_ROWS["headline-1e8"], (1.5497, 1.4235, 1.6818)),
+        (*BOUND_ROWS["large-counts"], (0.69786, 0.68438, 0.71151)),
+    ], ids=list(BOUND_ROWS))
+    def test_matches_profile_oracle(self, write, read, want):
+        got = A.classical_bound(*with_counts(write, read))
+        value, lower, upper, _ = bound_oracle(write, read)
+        assert got.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert got.lower == pytest.approx(lower, rel=1e-9, abs=0)
+        assert got.upper == pytest.approx(upper, rel=1e-9, abs=0)
+        # the table the method was sized on, to its printed digits
+        assert [got.value, got.lower, got.upper] == pytest.approx(want, rel=5e-5)
 
     def test_ml_below_geometric_mean(self):
         aw = auto_estimate_from_counts(3, 40, 50, 10_000)
@@ -531,14 +588,33 @@ class TestClassicalBound:
         with pytest.raises(A.DegenerateCountsError):
             A.classical_bound(aw, ar)
 
-    def test_likelihood_beyond_the_grid_is_an_error(self):
-        # g_ML = 1e7 on the WRITE side lies far above the grid, where the
-        # likelihood underflows: an error, never a value at the grid's edge
-        sides = [A.CorrelationEstimate(0.0, 0.0, 0.0,
-                                       {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
-                 for c, n1, n2, t in ((100, 100, 100, 10**9), (3, 40, 50, 10_000))]
-        with pytest.raises(A.EstimatorError, match="no mass on the grid"):
-            A.classical_bound(*sides)
+    def test_far_above_any_range_matches_the_oracle(self):
+        # g_ML = 1e7 on the WRITE side: no range limits the profile
+        write, read = (100, 100, 100, 10**9), (3, 40, 50, 10_000)
+        got = A.classical_bound(*with_counts(write, read))
+        value, lower, upper, _ = bound_oracle(write, read)
+        g_write, g_read = 100 * 10**9 / 100**2, 3 * 10_000 / (40 * 50)
+        assert got.value == pytest.approx(math.sqrt(g_write * g_read), rel=1e-12)
+        assert got.lower == pytest.approx(lower, rel=1e-9, abs=0)
+        assert got.upper == pytest.approx(upper, rel=1e-9, abs=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coinc=st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(any),
+           singles=st.lists(st.integers(40, 5_000), min_size=4, max_size=4),
+           log_t=st.tuples(st.integers(4, 9), st.integers(4, 9)))
+    def test_edges_property(self, coinc, singles, log_t):
+        sides = [(c, n1, n2, 10**e) for c, n1, n2, e in
+                 zip(coinc, singles[::2], singles[1::2], log_t)]
+        got = A.classical_bound(*with_counts(*sides))
+        *_, deficit = bound_oracle(*sides)
+        for edge in (got.lower, got.upper):
+            if edge > 0:
+                assert abs(2.0 * deficit(edge) - 1.0) < 1e-9
+        assert (got.lower == 0.0) == (0 in coinc)
+        with brackets_scaled():
+            wide = A.classical_bound(*with_counts(*sides))
+        assert [wide.value, wide.lower, wide.upper] == pytest.approx(
+            [got.value, got.lower, got.upper], rel=1e-9, abs=0)
 
     @settings(max_examples=25, deadline=None)
     @given(c1=st.integers(1, 30), c2=st.integers(1, 30),
@@ -565,6 +641,37 @@ class TestCauchySchwarz:
         assert not A.cauchy_schwarz_test(cross, bound).violated
 
 
+def occupancy_oracle(red, blue, pulses, background):
+    """n_th and its profile-likelihood edges by scipy: the blue rate that
+    maximises both colours' likelihood at each n by the bounded Brent
+    search, the edges by brentq."""
+    rate_red, rate_blue = red / pulses, blue / pulses
+    value = max(rate_red - background, 0.0) / (rate_blue - rate_red)
+
+    def profile(n):
+        return -minimize_scalar(
+            lambda b: -(binomial_loglik(blue, pulses, b) + binomial_loglik(
+                red, pulses, (background + n * b) / (1.0 + n))),
+            bounds=(1e-300, 1.0 - 1e-12), method="bounded",
+            options={"xatol": 1e-14}).fun
+
+    peak = profile(value)
+
+    def crossing(n):
+        return 2.0 * (peak - profile(n)) - 1.0
+    floor = 1e-12 * value  # without background, n = 0 is impossible
+    lower = brentq(crossing, floor, value, xtol=1e-13) if crossing(floor) > 0 else 0.0
+    return value, lower, brentq(crossing, value, 1.0, xtol=1e-13)
+
+
+OCCUPANCY_ROWS = {  # clicks red, clicks blue, pulses per colour, background
+    "default-seed": (29, 409, 500_000, 3.4545e-5),  # [0.01729, 0.04681]
+    "no-background": (50, 2_050, 100_000, 0.0),
+    "red-near-background": (6, 300, 100_000, 5e-5),  # lower edge 0, value > 0
+    "red-below-background": (3, 300, 100_000, 1e-4),  # value 0
+}
+
+
 class TestSidebandOccupancy:
     def test_exact_rates(self):
         # n = r_red / (r_blue - r_red) with negligible background
@@ -581,6 +688,27 @@ class TestSidebandOccupancy:
     def test_pole_rejected(self):
         with pytest.raises(A.EstimatorError, match="pole"):
             A.sideband_occupancy(100, 100, 1000)
+
+    @pytest.mark.parametrize("args", OCCUPANCY_ROWS.values(), ids=list(OCCUPANCY_ROWS))
+    def test_matches_two_colour_profile_oracle(self, args):
+        got = A.sideband_occupancy(*args)
+        value, lower, upper = occupancy_oracle(*args)
+        assert got.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert got.lower == pytest.approx(lower, rel=1e-9, abs=0)
+        assert got.upper == pytest.approx(upper, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("args", OCCUPANCY_ROWS.values(), ids=list(OCCUPANCY_ROWS))
+    def test_scaled_brackets_change_nothing(self, args):
+        got = A.sideband_occupancy(*args)
+        with brackets_scaled():
+            wide = A.sideband_occupancy(*args)
+        assert [wide.value, wide.lower, wide.upper] == pytest.approx(
+            [got.value, got.lower, got.upper], rel=1e-9, abs=1e-300)
+
+    def test_no_upper_limit_is_an_error(self):
+        # 1000 against 1010 clicks: equal rates lie inside the interval
+        with pytest.raises(A.EstimatorError, match="no upper limit"):
+            A.sideband_occupancy(1_000, 1_010, 100_000)
 
 
 class TestExponentialFit:

@@ -286,6 +286,19 @@ class TestExitCodes:
         row = (out / "correlations.csv").read_text().splitlines()[1]
         assert row == "100.0," + "nan," * 6 + "false"
 
+    def test_zero_read_side_bound_is_a_one_sided_limit(self, tmp_path):
+        # the default config at 1e7 trials: WRITE has one coincidence and READ
+        # none, so the bound is 0 with an upper limit, and the test is made
+        stream, out = tmp_path / "s.tags", tmp_path / "o"
+        assert run(["simulate", "--out", stream]) == 0
+        assert run(["analyze", stream, "--out", out]) == 0
+        entry, = json.loads((out / "summary.json").read_text())
+        assert [entry[side]["counts"]["N_coinc"]
+                for side in ("g2_auto_write", "g2_auto_read")] == [1, 0]
+        bound = entry["classical_bound"]
+        assert bound["value"] == bound["sigma_minus"] == 0.0 < bound["sigma_plus"]
+        assert "cauchy_schwarz" in entry and "error" not in entry
+
     def test_delta_n_from_the_trial_count_is_5(self, tmp_path, capsys,
                                                fast_config_path):
         # no offset >= T leaves a trial pair: from N = T on, both offset
