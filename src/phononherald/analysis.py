@@ -200,14 +200,6 @@ class CorrelationEstimate:
                 "sigma_plus": self.sigma_plus, "counts": dict(self.counts)}
 
 
-def _tally(seen: np.ndarray, counts: np.ndarray, found: list) -> tuple:
-    """Sorted distinct ``seen`` with ``counts``, plus one per value in ``found``."""
-    values, inverse = np.unique(np.concatenate([seen, *found]), return_inverse=True)
-    total = np.bincount(inverse[seen.size:], minlength=values.size)
-    total[inverse[:seen.size]] += counts
-    return values, total
-
-
 @dataclass
 class TrialTable:
     """Clicked trials of one write->read delay setting: the sorted, unique
@@ -222,34 +214,27 @@ class TrialTable:
 
     def __post_init__(self):
         self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
-        # the widest lag sweep so far (none yet): each offset it found, and its count
-        self._reach, self._sweep = -1, (np.zeros(0, dtype=np.int64),) * 2
 
-    def _cross_coincidences(self, offsets: np.ndarray) -> np.ndarray:
+    def cross_coincidences(self, offsets) -> np.ndarray:
         """W clicks at trial n with an R click at trial n + dn, for each dn of
-        ``offsets`` (all |dn| < trials); a wider one sweeps at least twice as
-        wide. A sweep tallies whenever its untallied offsets outnumber the
-        distinct ones and the clicks: it holds as many, however far it reaches."""
-        reach = int(np.abs(offsets).max(initial=-1))
-        if reach > self._reach:
-            reach = min(max(reach, 2 * self._reach), self.trials - 1)
-            c, w, r = self.clicked, self.is_write, self.is_read
-            tally, found, held = (np.zeros(1, dtype=np.int64), np.array([np.count_nonzero(w & r)])), [], 0
-            for lo in range(0, c.size, tags.BLOCK_RECORDS):
-                for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
-                    a = slice(lo, min(lo + tags.BLOCK_RECORDS, c.size - lag))
-                    b = slice(a.start + lag, a.stop + lag)
-                    gap = c[b] - c[a]
-                    if not (near := gap <= reach).any():
-                        break
-                    found += [gap[near & w[a] & r[b]], -gap[near & r[a] & w[b]]]  # W->R, R->W
-                    held += found[-2].size + found[-1].size
-                    if held > tally[0].size + c.size:
-                        tally, found, held = _tally(*tally, found), [], 0
-            self._reach, self._sweep = reach, _tally(*tally, found)
-        seen, counts = self._sweep
-        at = np.minimum(np.searchsorted(seen, offsets), seen.size - 1)
-        return np.where(seen[at] == offsets, counts[at], 0)
+        ``offsets`` (all |dn| < trials): one sweep out to the widest |dn| adds
+        each W->R gap (+) and R->W gap (-) to its distinct offset's count, and
+        drops the gaps no offset asks for."""
+        wanted, slot = np.unique(np.asarray(offsets, dtype=np.int64), return_inverse=True)
+        counts, reach = np.zeros(wanted.size, dtype=np.int64), np.abs(wanted).max(initial=-1)
+        c, w, r = self.clicked, self.is_write, self.is_read
+        counts[wanted == 0] = np.count_nonzero(w & r)
+        for lo in range(0, c.size, tags.BLOCK_RECORDS):
+            for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
+                a = slice(lo, min(lo + tags.BLOCK_RECORDS, c.size - lag))
+                b = slice(a.start + lag, a.stop + lag)
+                gap = c[b] - c[a]
+                if not (near := gap <= reach).any():
+                    break
+                for found in (gap[near & w[a] & r[b]], -gap[near & r[a] & w[b]]):  # W->R, R->W
+                    at = np.minimum(np.searchsorted(wanted, found), wanted.size - 1)
+                    np.add.at(counts, at[wanted[at] == found], 1)
+        return counts[slot]
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
@@ -331,18 +316,33 @@ def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
     An int is one offset; a sequence of nonzero offsets pools the trial
     pairs and the swept coincidence counts of each, repeats included.
     """
-    t = table.trials
     pooled = np.ndim(delta_n) > 0
     offsets = list(delta_n) if pooled else [delta_n]
-    bad = [dn for dn in offsets if t - abs(dn) < 1 or pooled and dn == 0]
+    bad = [dn for dn in offsets if table.trials - abs(dn) < 1 or pooled and dn == 0]
     if bad:
         raise EstimatorError(f"invalid pooled offset {bad[0]}" if pooled
                              else f"offset {bad[0]} leaves no trial pairs")
-    coinc = int(table._cross_coincidences(np.array(offsets, dtype=np.int64)).sum())
+    return _cross_estimate(table, int(table.cross_coincidences(offsets).sum()),
+                           offsets if pooled else delta_n)
+
+
+def g2_cross_offsets(table: TrialTable, delta_n_max: int) -> dict:
+    """g2_om and, for delta_n_max > 0, the estimates at offsets 1..delta_n_max
+    ("delta_n") and their pool ("delta_n_pooled"), from one lag sweep."""
+    coinc = table.cross_coincidences(np.arange(delta_n_max + 1))
+    estimates = {"g2_om": _cross_estimate(table, int(coinc[0]), 0)}
+    if offsets := list(range(1, delta_n_max + 1)):
+        estimates["delta_n"] = {dn: _cross_estimate(table, int(coinc[dn]), dn) for dn in offsets}
+        estimates["delta_n_pooled"] = _cross_estimate(table, int(coinc[1:].sum()), offsets)
+    return estimates
+
+
+def _cross_estimate(table: TrialTable, coinc: int, delta_n) -> CorrelationEstimate:
+    """g2 of ``coinc`` coincidences at one offset, or a list of them pooled."""
+    t, offsets = table.trials, delta_n if isinstance(delta_n, list) else [delta_n]
     pairs = t * len(offsets) - sum(map(abs, offsets))
     n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
-    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r,
-              "T": t, "delta_n": offsets if pooled else delta_n}
+    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r, "T": t, "delta_n": delta_n}
     return _scaled_estimate(coinc, pairs, n_w, n_r, t, counts)
 
 

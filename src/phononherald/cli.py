@@ -113,8 +113,7 @@ def _estimate(entry, key, fn, *args):
 
 
 def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
-    """Each setting's counters and every estimate that its counts define,
-    keyed in the order summary.json lists them."""
+    """Each setting's counters and every estimate that its counts define."""
     from . import analysis
     trial_tables = analysis.tabulate(stream, cfg, read_window_ns=read_window_ns)
     write = {}  # the WRITE autocorrelation pools every setting: estimated once
@@ -122,7 +121,10 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     results = []
     for delta_t, table in trial_tables.items():
         entry = {"delta_t_ns": delta_t, "counters": table.counters()}
-        _estimate(entry, "g2_om", analysis.g2_cross_estimate, table, 0)
+        far = delta_n_max >= table.trials  # no offset >= T leaves a trial pair
+        # g2_om and each offset's estimate and their pool: one lag sweep
+        _estimate(entry, "cross", analysis.g2_cross_offsets, table, 0 if far else delta_n_max)
+        entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error
             entry.setdefault(key, value)
         _estimate(entry, "g2_auto_read", analysis.g2_auto_estimate,
@@ -133,14 +135,8 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
         if "g2_om" in entry and "classical_bound" in entry:
             entry["cauchy_schwarz"] = analysis.cauchy_schwarz_test(
                 entry["g2_om"], entry["classical_bound"])
-        if delta_n_max >= table.trials:  # no offset >= T leaves a trial pair
+        if far:
             entry.setdefault("error", f"offset {table.trials} leaves no trial pairs")
-        elif delta_n_max:
-            offsets = list(range(1, delta_n_max + 1))
-            _estimate(entry, "delta_n", lambda: {
-                dn: analysis.g2_cross_estimate(table, dn) for dn in offsets})
-            _estimate(entry, "delta_n_pooled", analysis.g2_cross_estimate,
-                      table, offsets)
         results.append(entry)
     return results
 
@@ -173,8 +169,9 @@ def cmd_analyze(cfg, args):
                          *_interval(entry["classical_bound"]),
                          str(entry["cauchy_schwarz"].violated).lower()])
         item = _plain(entry)
-        if "error" in item:  # listed last
-            item["error"] = item.pop("error")
+        for key in ("delta_n", "delta_n_pooled", "error"):  # listed last, in this order
+            if key in item:
+                item[key] = item.pop(key)
         summary.append(item)
     out = Path(args.out)
     outputs = {

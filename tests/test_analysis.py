@@ -380,8 +380,8 @@ def random_table(trials, p, seed):
 
 
 class TestLagSweep:
-    """Every offset's count comes from the table's one lag sweep, swept again
-    wider on demand; the dense per-trial flags are the oracle."""
+    """Each call counts every offset it asks for in one lag sweep out to the
+    widest of them, and keeps nothing; the dense per-trial flags are the oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_offsets_in_any_order_match_dense_oracle(self, seed):
@@ -407,6 +407,43 @@ class TestLagSweep:
                 assert not (w.any() and r.any())
                 continue
             assert counts["N_coinc"] == dense_offset_coincidences(w, r, dn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           picks=st.lists(st.integers(0, 10**6), max_size=12))
+    def test_offsets_asked_together_count_as_each_alone(self, t, seed, picks):
+        table, w, r = random_table(t, 0.3, seed)
+        drawn = [c % (2 * t - 1) - (t - 1) for c in picks]
+        offsets = [*drawn, 0, *drawn[::2]]  # repeats, 0 and negative offsets
+        together = table.cross_coincidences(offsets).tolist()
+        assert together == [dense_offset_coincidences(w, r, dn) for dn in offsets]
+        if w.any() and r.any():  # else g2 is undefined
+            assert together == [A.g2_cross_estimate(table, dn).counts["N_coinc"]
+                                for dn in offsets]
+
+    def test_analyze_sweeps_each_table_once(self, fast_config, monkeypatch):
+        from phononherald import cli
+        delays, n = (100.0, 400.0), 25
+        cfg = fast_config.replace(protocol=dataclasses.replace(
+            fast_config.protocol, delta_t_list_ns=delays, trials=5_000))
+        stream = protocol.sample_trials(
+            cfg, [protocol.build_outcome_table(cfg, dt) for dt in delays])
+        swept, count = [], A.TrialTable.cross_coincidences
+
+        def counted(table, offsets):
+            swept.append(table.delta_t_ns)
+            return count(table, offsets)
+        monkeypatch.setattr(A.TrialTable, "cross_coincidences", counted)
+        entries = cli._analyze_stream(stream, cfg, None, delta_n_max=n)
+        assert swept == list(delays)
+        monkeypatch.undo()
+        tables = A.tabulate(stream, cfg)
+        for entry in entries:
+            table = tables[entry["delta_t_ns"]]
+            assert entry["g2_om"] == A.g2_cross_estimate(table, 0)
+            assert entry["delta_n"] == {dn: A.g2_cross_estimate(table, dn)
+                                        for dn in range(1, n + 1)}
+            assert entry["delta_n_pooled"] == A.g2_cross_estimate(table, range(1, n + 1))
 
     def test_reach_past_every_gap_and_to_the_last_trial(self):
         t = 1000
