@@ -7,7 +7,9 @@ would cost more than most stages' work. Beta quantiles come from a
 safeguarded Newton solve on the regularized incomplete beta function,
 evaluated as in DiDonato & Morris (ACM TOMS 18, 360 (1992)): their
 continued fraction by the modified Lentz method, times a power term built
-from Stirling-series differences. Exponential fits use variable
+from Stirling-series differences. The solve runs elementwise over arrays,
+so one call gives every interval of a table; each element leaves the
+active set once it has converged. Exponential fits use variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
 golden-section search, which the heating calibration shares.
 
@@ -41,122 +43,135 @@ class FitError(EstimatorError):
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# _stirling_correction below 10 at the integers, as numpy has no lgamma
+_STIRLING_SMALL = np.array([math.nan] + [math.lgamma(z) - (z - 0.5) * math.log(z) + z
+                                         - _HALF_LOG_2PI for z in range(1, 10)])
 
 
-def _stirling_correction(z: float) -> float:
-    """ln Gamma(z) minus its Stirling approximation (z-1/2) ln z - z + ln(2 pi)/2."""
-    if z < 10.0:
-        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+def _stirling_correction(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) minus its Stirling approximation (z-1/2) ln z - z + ln(2 pi)/2,
+    for integers z >= 1."""
     w = 1.0 / (z * z)  # asymptotic series; the first omitted term is < 1e-15
-    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (
+    series = (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (
         1 / 1680 - w * (1 / 1188 - w * 691 / 360360))))) / z
+    return np.where(z < 10.0, _STIRLING_SMALL[np.minimum(z, 9.0).astype(np.intp)], series)
 
 
-def _beta_power(a: float, b: float, x: float) -> float:
-    """x^a (1-x)^b / B(a, b), accurate for large a and b.
-
-    With e = (a+b) x - a its logarithm is a ln(1 + e/a) + b ln(1 - e/b)
-    + ln(ab / (2 pi (a+b)))/2 plus Stirling corrections; lgamma differences
-    would lose ~ulp(ln Gamma(a+b)), which is 2e-7 at a+b = 1e8.
-    """
-    s = a + b
-    e = s * x - a
-    return math.exp(a * math.log1p(e / a) + b * math.log1p(-e / b)
-                    + 0.5 * math.log(a * b / s) - _HALF_LOG_2PI
-                    + _stirling_correction(s) - _stirling_correction(a)
-                    - _stirling_correction(b))
-
-
-def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float:
-    """I_x(a, b) / _beta_power(a, b, x) for a, b > 1, y = 1 - x and
+def _beta_fraction(a, b, x, y, lam):
+    """I_x(a, b) / (x^a (1-x)^b / B(a, b)) for a, b > 1, y = 1 - x and
     lam = a - (a+b) x >= 0: the continued fraction BFRAC of DiDonato &
-    Morris, evaluated by the modified Lentz method. Given lam, it needs
-    neither 1 - x nor 1 - y, so no term cancels when b >> a; it takes
-    O(sqrt(a)) terms."""
+    Morris, evaluated by the modified Lentz method, each element until its
+    own factor has converged. Given lam, it needs neither 1 - x nor 1 - y,
+    so no term cancels when b >> a; it takes O(sqrt(a)) terms."""
     tiny = 1e-300
-    c, c0, c1 = lam + 1.0, b / a, 1.0 / a + 1.0
-    p, s = 1.0, a + 1.0
+    out, at = np.empty_like(x), np.arange(x.size)
+    c, c0, c1, y1 = lam + 1.0, b / a, 1.0 / a + 1.0, y + 1.0
+    p, s = np.ones_like(x), a + 1.0
     g = big_c = c / c1
-    d = 0.0
+    d = np.zeros_like(x)
     for n in range(1, 10**7):
         t = n / a
         w = n * (b - n) * x
         e = a / s
         alpha = p * (p + c0) * e * e * (w * x)
-        beta = n + w / s + (t + 1.0) / (c1 + t + t) * (c + n * (y + 1.0))
-        p, s = t + 1.0, s + 2.0
+        p = t + 1.0
+        beta = n + w / s + p / (c1 + t + t) * (c + n * y1)
+        s = s + 2.0
         d = beta + alpha * d
-        d = 1.0 / (d if abs(d) > tiny else tiny)
+        d = 1.0 / np.where(np.abs(d) > tiny, d, tiny)
         big_c = beta + alpha / big_c
-        big_c = big_c if abs(big_c) > tiny else tiny
-        g *= big_c * d
-        if abs(big_c * d - 1.0) <= 2.3e-16:
-            break
-    return 1.0 / g
+        big_c = np.where(np.abs(big_c) > tiny, big_c, tiny)
+        factor = big_c * d
+        g = g * factor
+        if (done := np.abs(factor - 1.0) <= 2.3e-16).any():
+            out[at[done]], keep = 1.0 / g[done], ~done
+            if not keep.any():
+                return out
+            at, a, b, x, c, c0, c1, y1, p, s, g, big_c, d = (
+                v[keep] for v in (at, a, b, x, c, c0, c1, y1, p, s, g, big_c, d))
+    out[at] = 1.0 / g
+    return out
 
 
-def _beta_cdf_pdf(a: float, b: float, x: float) -> tuple[float, float]:
-    """Regularized incomplete beta I_x(a, b) and its derivative, for
-    a, b > 1 and 0 < x < 1."""
-    power = _beta_power(a, b, x)
-    lam = a - (a + b) * x
-    if lam >= 0.0:
-        cdf = power * _beta_fraction(a, b, x, 1.0 - x, lam)
-    else:
-        cdf = 1.0 - power * _beta_fraction(b, a, 1.0 - x, x, -lam)
-    return cdf, power / (x * (1.0 - x))
+def _beta_cdf_pdf(a, b, x, log_norm):
+    """Regularized incomplete beta I_x(a, b) and its derivative, for a, b > 1
+    and 0 < x < 1, given log_norm = ln(a^a b^b / ((a+b)^(a+b) B(a, b))).
+
+    With e = (a+b) x - a, ln(x^a (1-x)^b / B(a, b)) is a ln(1 + e/a)
+    + b ln(1 - e/b) + log_norm: lgamma differences would lose
+    ~ulp(ln Gamma(a+b)), which is 2e-7 at a+b = 1e8."""
+    e = (a + b) * x - a
+    power = np.exp(a * np.log1p(e / a) + b * np.log1p(-e / b) + log_norm)
+    upper = e > 0.0  # there I_x(a, b) = 1 - I_(1-x)(b, a)
+    frac = _beta_fraction(np.where(upper, b, a), np.where(upper, a, b),
+                          np.where(upper, 1.0 - x, x), np.where(upper, x, 1.0 - x), np.abs(e))
+    cdf = power * frac
+    return np.where(upper, 1.0 - cdf, cdf), power / (x * (1.0 - x))
 
 
-def _beta_quantile(a: float, b: float, q: float) -> float:
-    """x with I_x(a, b) = q for a, b >= 1 and 0 < q < 1: Newton steps from
-    the starting guess of Press et al., Numerical Recipes 3rd ed. 6.4,
-    kept inside a bracket."""
-    if a > b:
-        return 1.0 - _beta_quantile(b, a, 1.0 - q)
-    if a == 1.0:  # I_x(1, b) = 1 - (1-x)^b
-        return -math.expm1(math.log1p(-q) / b)
-    t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+def _beta_quantile(a, b, q):
+    """x with I_x(a, b) = q, elementwise for integers a, b >= 1 and
+    0 < q < 1: Newton steps from the starting guess of Press et al.,
+    Numerical Recipes 3rd ed. 6.4, kept inside a bracket; each element
+    leaves the active set once it has converged."""
+    swap = a > b  # solved as I_(1-x)(b, a) = 1 - q
+    a, b, q = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - q, q)
+    x = -np.expm1(np.log1p(-q) / b)  # I_x(1, b) = 1 - (1-x)^b
+    at = np.flatnonzero(a != 1.0)
+    a, b, q = a[at], b[at], q[at]
+    # Stirling's series for the B(a, b) of _beta_cdf_pdf's log_norm
+    log_norm = (0.5 * np.log(a * b / (a + b)) - _HALF_LOG_2PI + _stirling_correction(a + b)
+                - _stirling_correction(a) - _stirling_correction(b))
+    t = np.sqrt(-2.0 * np.log(np.minimum(q, 1.0 - q)))
     z = (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t)) - t
-    z = -z if q < 0.5 else z
+    z = np.where(q < 0.5, -z, z)
     al = (z * z - 3.0) / 6.0
     h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-    w = (z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
+    w = (z * np.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
          * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-    x = a / (a + b * math.exp(2.0 * w))
-    lo, hi = 0.0, 1.0
+    xi = a / (a + b * np.exp(2.0 * w))
+    lo, hi = np.zeros_like(xi), np.ones_like(xi)
     for _ in range(200):
-        cdf, pdf = _beta_cdf_pdf(a, b, x)
-        if cdf == q:
-            return x
-        if cdf < q:
-            lo = x
-        else:
-            hi = x
-        step = x - (cdf - q) / pdf if pdf > 0 else math.nan
-        if abs(step - x) <= 1e-12 * x:
-            return step
-        if not lo < step < hi:  # halve the way to the bracket end instead
-            step = 0.5 * (x + (hi if cdf < q else lo))
-        x = step
-    return x
+        if not at.size:
+            break
+        cdf, pdf = _beta_cdf_pdf(a, b, xi, log_norm)
+        below = cdf < q
+        lo, hi = np.where(below, xi, lo), np.where(below, hi, xi)
+        step = xi - (cdf - q) / np.where(pdf > 0.0, pdf, np.nan)
+        exact = cdf == q
+        done = exact | (np.abs(step - xi) <= 1e-12 * xi)
+        x[at[done]] = np.where(exact, xi, step)[done]
+        # outside the bracket, halve the way to its end instead
+        xi = np.where((lo < step) & (step < hi), step, 0.5 * (xi + np.where(below, hi, lo)))
+        if done.any():
+            keep = ~done
+            at, a, b, q, log_norm, xi, lo, hi = (
+                v[keep] for v in (at, a, b, q, log_norm, xi, lo, hi))
+    x[at] = xi
+    return np.where(swap, 1.0 - x, x)
 
 
-def binomial_ci(n_events: int, n_trials: int) -> tuple[float, float, float]:
-    """Maximum-likelihood probability and 68% likelihood interval.
+def binomial_ci(n_events, n_trials):
+    """Maximum-likelihood probability and 68% likelihood interval, elementwise
+    over arrays of counts (floats for scalar counts).
 
     The normalized likelihood is the Beta(N+1, T-N+1) density; sigma_minus
     and sigma_plus each cut off 16% of its mass, clamped to 0 when the
     corresponding side is exhausted (N=0 or N=T).
     """
-    if n_trials < 1:
-        raise EstimatorError(f"need at least one trial, got {n_trials}")
-    if not 0 <= n_events <= n_trials:
-        raise EstimatorError(f"events {n_events} outside [0, {n_trials}]")
+    n_events, n_trials = np.broadcast_arrays(n_events, n_trials)
+    for bad, message in ((n_trials < 1, "need at least one trial, got {1}"),
+                         ((n_events < 0) | (n_events > n_trials), "events {0} outside [0, {1}]")):
+        if bad.any():  # name the first bad element, not the whole array
+            i = bad.argmax()
+            raise EstimatorError(message.format(n_events.flat[i], n_trials.flat[i])
+                                 + (f" (element {i})" if bad.ndim else ""))
     p_ml = n_events / n_trials
-    a, b = n_events + 1.0, n_trials - n_events + 1.0
-    sigma_minus = max(p_ml - _beta_quantile(a, b, TAIL_MASS), 0.0)
-    sigma_plus = max(_beta_quantile(a, b, 1.0 - TAIL_MASS) - p_ml, 0.0)
-    return p_ml, sigma_minus, sigma_plus
+    a, b = (np.tile(np.ravel(v), 2) for v in (n_events + 1.0, n_trials - n_events + 1.0))
+    lo, hi = _beta_quantile(a, b, np.repeat([TAIL_MASS, 1.0 - TAIL_MASS], p_ml.size)).reshape(
+        2, *p_ml.shape)
+    interval = p_ml, np.maximum(p_ml - lo, 0.0), np.maximum(hi - p_ml, 0.0)
+    return tuple(v.item() if v.ndim == 0 else v for v in interval)
 
 
 def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
@@ -215,26 +230,22 @@ class TrialTable:
     def __post_init__(self):
         self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
 
-    def cross_coincidences(self, offsets) -> np.ndarray:
-        """W clicks at trial n with an R click at trial n + dn, for each dn of
-        ``offsets`` (all |dn| < trials): one sweep out to the widest |dn| adds
-        each W->R gap (+) and R->W gap (-) to its distinct offset's count, and
-        drops the gaps no offset asks for."""
-        wanted, slot = np.unique(np.asarray(offsets, dtype=np.int64), return_inverse=True)
-        counts, reach = np.zeros(wanted.size, dtype=np.int64), np.abs(wanted).max(initial=-1)
+    def cross_coincidences(self, delta_n_max: int) -> np.ndarray:
+        """W clicks at trial n with an R click at trial n + dn, for each dn in
+        0..delta_n_max: one sweep adds each W->R gap of at most delta_n_max
+        to its offset's count."""
+        counts = np.zeros(delta_n_max + 1, dtype=np.int64)
         c, w, r = self.clicked, self.is_write, self.is_read
-        counts[wanted == 0] = np.count_nonzero(w & r)
+        counts[0] = np.count_nonzero(w & r)
         for lo in range(0, c.size, tags.BLOCK_RECORDS):
             for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
                 a = slice(lo, min(lo + tags.BLOCK_RECORDS, c.size - lag))
                 b = slice(a.start + lag, a.stop + lag)
                 gap = c[b] - c[a]
-                if not (near := gap <= reach).any():
+                if not (near := gap <= delta_n_max).any():
                     break
-                for found in (gap[near & w[a] & r[b]], -gap[near & r[a] & w[b]]):  # W->R, R->W
-                    at = np.minimum(np.searchsorted(wanted, found), wanted.size - 1)
-                    np.add.at(counts, at[wanted[at] == found], 1)
-        return counts[slot]
+                np.add.at(counts, gap[near & w[a] & r[b]], 1)
+        return counts
 
     def pattern_counts(self) -> np.ndarray:
         """Trials per pattern; pattern 0 is every trial that did not click."""
@@ -303,47 +314,32 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
             for dt, lo, hi in zip(settings, bounds, bounds[1:])}
 
 
-def _scaled_estimate(n_coinc, n_pairs, n_1, n_2, n_trials, counts) -> CorrelationEstimate:
-    """g = P(coincidence) / (P1 * P2) with singles n_1, n_2 out of n_trials."""
+def _scaled_estimates(n_1, n_2, n_trials, pairs, counts) -> list:
+    """g = P(coincidence) / (P1 * P2) with singles n_1, n_2 out of n_trials,
+    for each ``counts``' N_coinc out of its trial ``pairs``: one interval solve."""
     scale = g2_ratio(1.0, n_1, n_2, n_trials)
-    p_ml, s_minus, s_plus = binomial_ci(n_coinc, n_pairs)
-    return CorrelationEstimate(p_ml * scale, s_minus * scale, s_plus * scale, counts)
+    intervals = binomial_ci(np.array([c["N_coinc"] for c in counts]), np.array(pairs))
+    return [CorrelationEstimate(p * scale, lo * scale, hi * scale, c)
+            for p, lo, hi, c in zip(*(v.tolist() for v in intervals), counts)]
 
 
-def g2_cross_estimate(table: TrialTable, delta_n=0) -> CorrelationEstimate:
-    """Cross-correlation between write of trial n and read of trial n+delta_n.
-
-    An int is one offset; a sequence of nonzero offsets pools the trial
-    pairs and the swept coincidence counts of each, repeats included.
-    """
-    pooled = np.ndim(delta_n) > 0
-    offsets = list(delta_n) if pooled else [delta_n]
-    bad = [dn for dn in offsets if table.trials - abs(dn) < 1 or pooled and dn == 0]
-    if bad:
-        raise EstimatorError(f"invalid pooled offset {bad[0]}" if pooled
-                             else f"offset {bad[0]} leaves no trial pairs")
-    return _cross_estimate(table, int(table.cross_coincidences(offsets).sum()),
-                           offsets if pooled else delta_n)
-
-
-def g2_cross_offsets(table: TrialTable, delta_n_max: int) -> dict:
-    """g2_om and, for delta_n_max > 0, the estimates at offsets 1..delta_n_max
-    ("delta_n") and their pool ("delta_n_pooled"), from one lag sweep."""
-    coinc = table.cross_coincidences(np.arange(delta_n_max + 1))
-    estimates = {"g2_om": _cross_estimate(table, int(coinc[0]), 0)}
-    if offsets := list(range(1, delta_n_max + 1)):
-        estimates["delta_n"] = {dn: _cross_estimate(table, int(coinc[dn]), dn) for dn in offsets}
-        estimates["delta_n_pooled"] = _cross_estimate(table, int(coinc[1:].sum()), offsets)
-    return estimates
-
-
-def _cross_estimate(table: TrialTable, coinc: int, delta_n) -> CorrelationEstimate:
-    """g2 of ``coinc`` coincidences at one offset, or a list of them pooled."""
-    t, offsets = table.trials, delta_n if isinstance(delta_n, list) else [delta_n]
-    pairs = t * len(offsets) - sum(map(abs, offsets))
+def g2_cross_estimate(table: TrialTable, delta_n_max: int = 0) -> dict:
+    """Cross-correlation between the write of trial n and the read of trial
+    n + dn: g2_om at dn = 0 and, for delta_n_max > 0, the estimates at
+    dn = 1..delta_n_max ("delta_n") and their pool ("delta_n_pooled"), from
+    one lag sweep and one interval solve."""
+    t, pooled = table.trials, list(range(1, delta_n_max + 1))
     n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
-    counts = {"N_coinc": coinc, "pairs": pairs, "N_W": n_w, "N_R": n_r, "T": t, "delta_n": delta_n}
-    return _scaled_estimate(coinc, pairs, n_w, n_r, t, counts)
+    coinc = table.cross_coincidences(delta_n_max).tolist()
+    rows = [(dn, k, t - dn) for dn, k in enumerate(coinc)]
+    if pooled:
+        rows.append((pooled, sum(coinc[1:]), t * len(pooled) - sum(pooled)))
+    g2_om, *others = _scaled_estimates(n_w, n_r, t, [m for *_, m in rows], [
+        {"N_coinc": k, "pairs": m, "N_W": n_w, "N_R": n_r, "T": t, "delta_n": dn}
+        for dn, k, m in rows])
+    if not pooled:
+        return {"g2_om": g2_om}
+    return {"g2_om": g2_om, "delta_n": dict(zip(pooled, others)), "delta_n_pooled": others[-1]}
 
 
 def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimate:
@@ -364,7 +360,7 @@ def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimat
     t, coinc, n1, n2 = (sum(c[key] for c in counters)
                         for key in ("T", f"N_{x}1{x}2", f"N_{x}1", f"N_{x}2"))
     counts = {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": t, "window": window}
-    return _scaled_estimate(coinc, t, n1, n2, t, counts)
+    return _scaled_estimates(n1, n2, t, [t], [counts])[0]
 
 
 def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:

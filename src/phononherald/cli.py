@@ -122,8 +122,8 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     for delta_t, table in trial_tables.items():
         entry = {"delta_t_ns": delta_t, "counters": table.counters()}
         far = delta_n_max >= table.trials  # no offset >= T leaves a trial pair
-        # g2_om and each offset's estimate and their pool: one lag sweep
-        _estimate(entry, "cross", analysis.g2_cross_offsets, table, 0 if far else delta_n_max)
+        # g2_om and each offset's estimate and their pool: one lag sweep, one interval solve
+        _estimate(entry, "cross", analysis.g2_cross_estimate, table, 0 if far else delta_n_max)
         entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error
             entry.setdefault(key, value)

@@ -109,12 +109,13 @@ def test_criterion_4_headline_correlation():
     table = protocol.build_outcome_table(cfg, 100.0)
     stream = protocol.sample_trials(cfg, [table], threads=4)
     tt = A.tabulate(stream, cfg)[100.0]
-    cross = A.g2_cross_estimate(tt, 0)
+    cross_all = A.g2_cross_estimate(tt, 10)
+    cross = cross_all["g2_om"]
     auto_w = A.g2_auto_estimate({100.0: tt}, "WRITE")
     auto_r = A.g2_auto_estimate({100.0: tt}, "READ", 100.0)
     bound = A.classical_bound(auto_w, auto_r)
     verdict = A.cauchy_schwarz_test(cross, bound)
-    pooled = A.g2_cross_estimate(tt, range(1, 11))
+    pooled = cross_all["delta_n_pooled"]
     elapsed = time.time() - t0
 
     ok_cross = overlaps(cross, 8.0 - 0.5, 8.0 + 0.6)
@@ -207,11 +208,8 @@ def test_criterion_8_statistics_engine():
     # interval coverage under repeated sampling
     rng = np.random.default_rng(12345)
     p_true, t_cov, reps = 0.3, 100, 3000
-    hits = 0
-    for n_ev in rng.binomial(t_cov, p_true, size=reps):
-        p_ml, sm, sp = A.binomial_ci(int(n_ev), t_cov)
-        hits += p_ml - sm <= p_true <= p_ml + sp
-    coverage = hits / reps
+    p_ml, sm, sp = A.binomial_ci(rng.binomial(t_cov, p_true, size=reps), t_cov)
+    coverage = np.count_nonzero((p_ml - sm <= p_true) & (p_true <= p_ml + sp)) / reps
 
     # most-likely bound never exceeds the geometric mean of the ML g2s
     ml_ok = True

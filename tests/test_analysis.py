@@ -71,14 +71,30 @@ class TestBinomialCI:
         with pytest.raises(A.EstimatorError):
             A.binomial_ci(5, 4)
 
+    def test_invalid_array_input_names_the_first_bad_element(self):
+        trials = np.full(1000, 4)
+        trials[[7, 9]] = 0
+        with pytest.raises(A.EstimatorError) as info:
+            A.binomial_ci(np.zeros(1000, dtype=int), trials)
+        assert str(info.value) == "need at least one trial, got 0 (element 7)"
+        events = np.arange(1000) % 5
+        with pytest.raises(A.EstimatorError) as info:
+            A.binomial_ci(events, np.full(1000, 3))
+        assert str(info.value) == "events 4 outside [0, 3] (element 4)"
+        with pytest.raises(A.EstimatorError, match=r"^events -1 outside \[0, 3\]$"):
+            A.binomial_ci(-1, 3)
+
     def test_edges_are_beta_quantiles(self):
         # the interval edges are the 16%/84% quantiles of Beta(N+1, T-N+1),
         # clamped at p_ml; where min(N, T-N) is small the Beta CDF is a
-        # finite binomial sum, so the true quantile is bracketed exactly
+        # finite binomial sum, so the true quantile is bracketed exactly.
+        # Each pair is solved alone and all of them in one array call
         rel = 1e-12
-        for t in (1, 2, 30, 5000, 10**6, 10**8):
-            for n in sorted({n for n in (0, 1, 2, t // 3, t - 1, t) if n <= t}):
-                p_ml, s_minus, s_plus = A.binomial_ci(n, t)
+        pairs = [(n, t) for t in (1, 2, 30, 5000, 10**6, 10**8)
+                 for n in sorted({n for n in (0, 1, 2, t // 3, t - 1, t) if n <= t})]
+        together = zip(*A.binomial_ci(*np.array(pairs).T))
+        for (n, t), joint in zip(pairs, together):
+            for p_ml, s_minus, s_plus in (A.binomial_ci(n, t), joint):
                 lo, hi = p_ml - s_minus, p_ml + s_plus
                 if min(n, t - n) > 2000:
                     dist = beta(n + 1, t - n + 1)
@@ -98,6 +114,20 @@ class TestBinomialCI:
                 else:
                     assert (exact_beta_cdf(n, t, hi * (1 - rel)) <= head
                             <= exact_beta_cdf(n, t, hi * (1 + rel))), (n, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.integers(1, 10**9).flatmap(lambda t: st.tuples(
+        st.one_of(st.just(0), st.just(t), st.integers(0, min(t, 3)),
+                  st.integers(max(t - 3, 0), t), st.integers(0, t)), st.just(t))),
+        min_size=1, max_size=30))
+    def test_array_call_is_each_element_alone(self, pairs):
+        # mixed sizes, N = 0 and N = T (one quantile in closed form, a = 1),
+        # N > T - N (solved as the mirrored Beta): elements converge after
+        # different numbers of Newton steps and continued-fraction terms, and
+        # leaving the active set must not change any other element's bits
+        together = np.array(A.binomial_ci(*np.array(pairs).T)).T
+        alone = np.array([A.binomial_ci(n, t) for n, t in pairs])
+        assert together.tobytes() == alone.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 2000), frac=st.floats(0.0, 1.0))
@@ -237,7 +267,7 @@ class TestCorrelationEstimators:
             w2=[0] * 10,
             r1=[1, 0, 1, 0, 0, 0, 0, 1, 0, 0],
             r2=[0] * 10)
-        est = A.g2_cross_estimate(table, 0)
+        est = A.g2_cross_estimate(table)["g2_om"]
         assert est.value == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert est.counts["N_coinc"] == 2
         assert est.sigma_plus > est.sigma_minus > 0
@@ -245,31 +275,22 @@ class TestCorrelationEstimators:
     def test_cross_offset_uses_shifted_pairs(self):
         table = make_table(w1=[1, 0, 0, 0], w2=[0] * 4,
                            r1=[0, 1, 0, 0], r2=[0] * 4)
-        assert A.g2_cross_estimate(table, 0).counts["N_coinc"] == 0
-        shifted = A.g2_cross_estimate(table, 1)
+        cross = A.g2_cross_estimate(table, 1)
+        assert cross["g2_om"].counts["N_coinc"] == 0
+        shifted = cross["delta_n"][1]
         assert shifted.counts["N_coinc"] == 1
         assert shifted.counts["pairs"] == 3
-
-    def test_cross_negative_offset(self):
-        table = make_table(w1=[0, 1, 0, 0], w2=[0] * 4,
-                           r1=[1, 0, 0, 0], r2=[0] * 4)
-        assert A.g2_cross_estimate(table, -1).counts["N_coinc"] == 1
 
     def test_pooled_offsets_accumulate(self):
         rng = np.random.default_rng(5)
         w = rng.random(500) < 0.2
         r = rng.random(500) < 0.2
         table = make_table(w, np.zeros(500), r, np.zeros(500))
-        pooled = A.g2_cross_estimate(table, [1, 2, 3])
-        total = sum(A.g2_cross_estimate(table, d).counts["N_coinc"]
-                    for d in (1, 2, 3))
+        cross = A.g2_cross_estimate(table, 3)
+        pooled = cross["delta_n_pooled"]
+        total = sum(cross["delta_n"][d].counts["N_coinc"] for d in (1, 2, 3))
         assert pooled.counts["N_coinc"] == total
         assert pooled.value == pytest.approx(1.0, abs=0.35)
-
-    def test_pooled_rejects_zero_offset(self):
-        table = make_table([1, 0], [0, 0], [1, 0], [0, 0])
-        with pytest.raises(A.EstimatorError):
-            A.g2_cross_estimate(table, [0, 1])
 
     def test_auto_write_pools_settings(self):
         t1 = make_table([1, 0, 1, 0], [1, 0, 0, 0], [0] * 4, [0] * 4, 100.0)
@@ -288,7 +309,7 @@ class TestCorrelationEstimators:
     def test_zero_singles_undefined(self):
         table = make_table([0, 0], [0, 0], [1, 0], [0, 0])
         with pytest.raises(A.EstimatorError, match="zero single"):
-            A.g2_cross_estimate(table, 0)
+            A.g2_cross_estimate(table)
 
 
 def dense_flags(stream, config, k, read_window_ns=None):
@@ -312,9 +333,14 @@ def dense_flags(stream, config, k, read_window_ns=None):
 
 
 def dense_offset_coincidences(w, r, dn):
-    """Trials n with a write click at n and a read click at n + dn."""
-    t = len(w)
-    return int((w[: t - dn] & r[dn:]).sum() if dn >= 0 else (w[-dn:] & r[: t + dn]).sum())
+    """Trials n with a write click at n and a read click at n + dn, dn >= 0."""
+    return int((w[: len(w) - dn] & r[dn:]).sum())
+
+
+def cross_counts(table, delta_n_max):
+    """N_coinc of each offset 0..delta_n_max, from g2_cross_estimate."""
+    cross = A.g2_cross_estimate(table, delta_n_max)
+    return [e.counts["N_coinc"] for e in (cross["g2_om"], *cross.get("delta_n", {}).values())]
 
 
 def test_record_level_counts_match_dense_oracle(fast_config):
@@ -339,11 +365,12 @@ def test_record_level_counts_match_dense_oracle(fast_config):
             }
             n = cfg.protocol.trials
             singles = {"N_W": int(w.sum()), "N_R": int(r.sum())}
-            for dn in range(-3, 11):
-                assert A.g2_cross_estimate(table, dn).counts == {
+            cross = A.g2_cross_estimate(table, 10)
+            for dn, est in enumerate((cross["g2_om"], *cross["delta_n"].values())):
+                assert est.counts == {
                     "N_coinc": dense_offset_coincidences(w, r, dn),
-                    "pairs": n - abs(dn), **singles, "T": n, "delta_n": dn}
-            assert A.g2_cross_estimate(table, range(1, 11)).counts == {
+                    "pairs": n - dn, **singles, "T": n, "delta_n": dn}
+            assert cross["delta_n_pooled"].counts == {
                 "N_coinc": sum(dense_offset_coincidences(w, r, dn)
                                for dn in range(1, 11)),
                 "pairs": sum(n - dn for dn in range(1, 11)), **singles, "T": n,
@@ -380,46 +407,46 @@ def random_table(trials, p, seed):
 
 
 class TestLagSweep:
-    """Each call counts every offset it asks for in one lag sweep out to the
-    widest of them, and keeps nothing; the dense per-trial flags are the oracle."""
+    """Each call counts the offsets 0..N in one lag sweep out to N, and keeps
+    nothing; the dense per-trial flags are the oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_offsets_in_any_order_match_dense_oracle(self, seed):
+    def test_every_reach_matches_dense_oracle(self, seed):
         t = 240
         table, w, r = random_table(t, 0.08, seed)
-        # a wide offset after narrow ones, narrow ones after it, then all of
-        # them shuffled, negative offsets included
-        rest = np.random.default_rng(seed).permutation(np.arange(-(t - 1), t))
-        for dn in [1, 0, -2, 5, 3, -40, 2, 150, -1, 7, *rest.tolist()]:
-            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
-                dense_offset_coincidences(w, r, dn)), dn
+        # a wide reach after narrow ones, narrow ones after it, then all of
+        # them shuffled
+        rest = np.random.default_rng(seed).permutation(t)
+        for n in [1, 0, 5, 3, 40, 2, 150, 7, *rest.tolist()]:
+            assert table.cross_coincidences(n).tolist() == [
+                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            calls=st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
     def test_any_call_sequence_matches_dense_oracle(self, t, seed, calls):
         table, w, r = random_table(t, 0.3, seed)
-        # trial offsets in -(t - 1)..(t - 1), drawn as integers of any size
-        for dn in (c % (2 * t - 1) - (t - 1) for c in calls):
+        # reaches in 0..(t - 1), drawn as integers of any size
+        for n in (c % t for c in calls):
             try:
-                counts = A.g2_cross_estimate(table, dn).counts
+                counts = cross_counts(table, n)
             except A.EstimatorError:  # no W or no R click: g2 is undefined
                 assert not (w.any() and r.any())
                 continue
-            assert counts["N_coinc"] == dense_offset_coincidences(w, r, dn)
+            assert counts == [dense_offset_coincidences(w, r, dn) for dn in range(n + 1)]
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
            picks=st.lists(st.integers(0, 10**6), max_size=12))
     def test_offsets_asked_together_count_as_each_alone(self, t, seed, picks):
+        # each offset's count is the same at every reach that holds it
         table, w, r = random_table(t, 0.3, seed)
-        drawn = [c % (2 * t - 1) - (t - 1) for c in picks]
-        offsets = [*drawn, 0, *drawn[::2]]  # repeats, 0 and negative offsets
-        together = table.cross_coincidences(offsets).tolist()
-        assert together == [dense_offset_coincidences(w, r, dn) for dn in offsets]
-        if w.any() and r.any():  # else g2 is undefined
-            assert together == [A.g2_cross_estimate(table, dn).counts["N_coinc"]
-                                for dn in offsets]
+        widest = table.cross_coincidences(t - 1).tolist()
+        assert widest == [dense_offset_coincidences(w, r, dn) for dn in range(t)]
+        for n in (c % t for c in picks):
+            assert table.cross_coincidences(n).tolist() == widest[:n + 1]
+            if w.any() and r.any():  # else g2 is undefined
+                assert cross_counts(table, n) == widest[:n + 1]
 
     def test_analyze_sweeps_each_table_once(self, fast_config, monkeypatch):
         from phononherald import cli
@@ -430,20 +457,19 @@ class TestLagSweep:
             cfg, [protocol.build_outcome_table(cfg, dt) for dt in delays])
         swept, count = [], A.TrialTable.cross_coincidences
 
-        def counted(table, offsets):
+        def counted(table, delta_n_max):
             swept.append(table.delta_t_ns)
-            return count(table, offsets)
+            return count(table, delta_n_max)
         monkeypatch.setattr(A.TrialTable, "cross_coincidences", counted)
         entries = cli._analyze_stream(stream, cfg, None, delta_n_max=n)
         assert swept == list(delays)
         monkeypatch.undo()
         tables = A.tabulate(stream, cfg)
         for entry in entries:
-            table = tables[entry["delta_t_ns"]]
-            assert entry["g2_om"] == A.g2_cross_estimate(table, 0)
-            assert entry["delta_n"] == {dn: A.g2_cross_estimate(table, dn)
-                                        for dn in range(1, n + 1)}
-            assert entry["delta_n_pooled"] == A.g2_cross_estimate(table, range(1, n + 1))
+            cross = A.g2_cross_estimate(tables[entry["delta_t_ns"]], n)
+            assert list(cross["delta_n"]) == list(range(1, n + 1))
+            for key in ("g2_om", "delta_n", "delta_n_pooled"):
+                assert entry[key] == cross[key]
 
     def test_reach_past_every_gap_and_to_the_last_trial(self):
         t = 1000
@@ -451,19 +477,19 @@ class TestLagSweep:
         r = np.zeros(t, dtype=bool)
         w[[10, 15]] = r[[12, 15]] = True
         table = make_table(w, np.zeros(t), r, np.zeros(t))
-        for dn in (500, 2, -3, 0, 999, -999, 5, -500, 1):  # 5 is the widest gap
-            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
-                dense_offset_coincidences(w, r, dn)), dn
-        # a pair exactly T - 1 trials apart, either way round
-        for first, last, dn in (("w", "r", t - 1), ("r", "w", -(t - 1))):
+        for n in (500, 2, 0, 999, 5, 1, 4):  # the W->R gaps are 0, 2 and 5
+            assert table.cross_coincidences(n).tolist() == [
+                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
+        # a pair exactly T - 1 trials apart, either way round: only W first
+        # is a W->R coincidence
+        for first, last, found in (("w", "r", 1), ("r", "w", 0)):
             flags = {"w": np.zeros(t, dtype=bool), "r": np.zeros(t, dtype=bool)}
             flags[first][0] = flags[last][t - 1] = True
             edge = make_table(flags["w"], np.zeros(t), flags["r"], np.zeros(t))
-            assert A.g2_cross_estimate(edge, 1).counts["N_coinc"] == 0
-            assert A.g2_cross_estimate(edge, dn).counts["N_coinc"] == 1
-            assert A.g2_cross_estimate(edge, -dn).counts["N_coinc"] == 0
-            assert A.g2_cross_estimate(edge, range(1, t)).counts["N_coinc"] == (
-                1 if dn > 0 else 0)
+            assert edge.cross_coincidences(t - 2).tolist() == [0] * (t - 1)
+            cross = A.g2_cross_estimate(edge, t - 1)
+            assert cross["delta_n"][t - 1].counts["N_coinc"] == found
+            assert cross["delta_n_pooled"].counts["N_coinc"] == found
 
     @pytest.mark.parametrize("size", [1, 5, 64])
     def test_blocks_of_any_size_match_dense_oracle(self, monkeypatch, size):
@@ -471,52 +497,53 @@ class TestLagSweep:
         monkeypatch.setattr(tags, "BLOCK_RECORDS", size)
         t = 300
         table, w, r = random_table(t, 0.1, 11)
-        for dn in (3, -7, 0, 40, -(t - 1), 150, 1, t - 1):
-            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (
-                dense_offset_coincidences(w, r, dn)), dn
+        for n in (3, 0, 40, t - 1, 150, 1):
+            assert table.cross_coincidences(n).tolist() == [
+                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
 
-    def test_far_offset_holds_the_offsets_found_not_the_reach(self):
-        # three clicks of W1 and R1 in 1e12 trials: a sweep 1e9 trials wide
-        # holds the offsets it finds, not a count for each offset in reach
-        clicked = np.array([0, 10**6 + 5, 4 * 10**11])
+    def test_count_holds_the_reach_and_the_clicks_not_the_trials(self):
+        # three clicks of W1 and R1 in 1e12 trials, two of them 5,000 trials
+        # apart: counting offsets 0..1e4 holds the 1e4 + 1 counts and a
+        # block of clicks' temporaries, not anything of the 1e12 trials
+        n = 10**4
+        clicked = np.array([0, 5_000, 4 * 10**11])
         table = A.TrialTable(100.0, 10**12, clicked, np.full(3, 10, dtype=np.uint8))
         tracemalloc.start()
         try:
-            far = A.g2_cross_estimate(table, 10**9).counts["N_coinc"]
+            counts = table.cross_coincidences(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert far == 0 and peak < 1e6
-        assert [A.g2_cross_estimate(table, dn).counts["N_coinc"] for dn in (
-            10**6 + 5, -(10**6 + 5), 0, 4 * 10**11 - 10**6 - 5, 4 * 10**11)] == [1, 1, 3, 1, 1]
+        assert peak < 2 * counts.nbytes
+        assert counts.size == n + 1 and counts[0] == 3 and counts[5_000] == 1
+        assert counts.sum() == 4
 
     def test_no_click_and_single_click_tables(self):
         t = 50
         empty = make_table(*np.zeros((4, t)))
-        for dn in (0, 3, -(t - 1), t - 1):
+        assert empty.cross_coincidences(t - 1).tolist() == [0] * t
+        for n in (0, 3, t - 1):
             with pytest.raises(A.EstimatorError, match="zero single"):
-                A.g2_cross_estimate(empty, dn)
-        with pytest.raises(A.EstimatorError, match="zero single"):
-            A.g2_cross_estimate(empty, range(1, t))
+                A.g2_cross_estimate(empty, n)
         single = np.zeros((4, t))
         single[[0, 2], 17] = 1  # W1 and R1 of trial 17
         table = make_table(*single)
-        for dn in (t - 1, 0, 1, -1, -(t - 1), 20):
-            assert A.g2_cross_estimate(table, dn).counts["N_coinc"] == (dn == 0)
-        assert A.g2_cross_estimate(table, 0).value == pytest.approx(t)
+        for n in (t - 1, 0, 1, 20):
+            assert cross_counts(table, n) == [1] + [0] * n
+        assert A.g2_cross_estimate(table)["g2_om"].value == pytest.approx(t)
 
-    def test_pooled_sums_offsets_in_any_order_once_per_occurrence(self):
+    def test_pooled_sums_the_offsets_one_to_n(self):
         t = 300
         table, w, r = random_table(t, 0.1, 7)
-        for offsets in ([3, -2, 3, 7, 1], [-(t - 1), 12, -12, 12, t - 1],
-                        list(range(t - 1, 0, -1)), [5]):
-            pooled = A.g2_cross_estimate(table, offsets).counts
+        for n in (5, 1, 12, t - 1):
+            cross = A.g2_cross_estimate(table, n)
+            pooled = cross["delta_n_pooled"].counts
             assert pooled["N_coinc"] == sum(
-                dense_offset_coincidences(w, r, dn) for dn in offsets)
+                dense_offset_coincidences(w, r, dn) for dn in range(1, n + 1))
             assert pooled["N_coinc"] == sum(
-                A.g2_cross_estimate(table, dn).counts["N_coinc"] for dn in offsets)
-            assert pooled["pairs"] == sum(t - abs(dn) for dn in offsets)
-            assert pooled["delta_n"] == offsets
+                est.counts["N_coinc"] for est in cross["delta_n"].values())
+            assert pooled["pairs"] == sum(t - dn for dn in range(1, n + 1))
+            assert pooled["delta_n"] == list(range(1, n + 1))
 
 
 def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):
