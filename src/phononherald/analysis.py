@@ -175,11 +175,11 @@ def binomial_ci(n_events, n_trials):
 
 
 def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of a unimodal f on [lo, hi], to within xatol
-    (Kiefer, Proc. AMS 4, 502 (1953))."""
+    """Minimizer of a unimodal f on [lo, hi], to within xatol or the floats
+    between them (Kiefer, Proc. AMS 4, 502 (1953))."""
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > 2.0 * xatol:
+    while hi - lo > 2.0 * xatol and lo < c < d < hi:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
@@ -370,7 +370,8 @@ def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:
     if not 0.0 < p < 1.0:
         return 0.0 if p == p_ml else math.inf
     return ((n_events * math.log(p_ml / p) if n_events else 0.0)
-            + (n_trials - n_events) * math.log1p((p - p_ml) / (1.0 - p)))
+            + ((n_trials - n_events) * math.log1p((p - p_ml) / (1.0 - p))
+               if n_events < n_trials else 0.0))
 
 
 def _likelihood_edge(deficit, inside: float, outside: float) -> float:
@@ -409,8 +410,12 @@ def classical_bound(auto_write: CorrelationEstimate,
         # d ln L / d p_W times p_W (1 - p_W) (p_W - k): >= 0 at k, <= 0 at 1
         qa, qc = n_r - t_w, k * (t_r - n_w)
         qb = (n_w - n_r) * (1.0 + k) + k * ((t_w - n_w) - (t_r - n_r))
-        q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
-        p_w = q / qa if qb >= 0.0 else qc / q  # (-qb - sqrt(qb^2 - 4 qa qc)) / (2 qa)
+        if qa:
+            q = -0.5 * (qb + math.copysign(math.sqrt(qb * qb - 4.0 * qa * qc), qb))
+            p_w = q / qa if qb >= 0.0 else qc / q  # (-qb - sqrt(qb^2 - 4 qa qc)) / (2 qa)
+        else:  # a linear condition; at qb = qc = 0 the profile is flat
+            p_w = -qc / qb if qb else k
+        p_w = min(max(p_w, k), 1.0)  # the root, in [k, 1] also after rounding
         return _binomial_deficit(n_w, t_w, p_w) + _binomial_deficit(n_r, t_r, k / p_w)
 
     value = math.sqrt((n_w / t_w * s_w) * (n_r / t_r * s_r))
@@ -456,7 +461,8 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
         raise EstimatorError(
             f"rate asymmetry pole: Gamma_B={rate_blue} <= Gamma_R={rate_red}")
     value = max(rate_red - background, 0.0) / denom
-    xatol = 1e-6 * math.sqrt(rate_blue / pulses)  # of the blue rate's error
+    # of the blue rate's error, sqrt(min(rate, 1 - rate) / pulses), one miss at least
+    xatol = 1e-6 * math.sqrt(min(rate_blue, max(1.0 - rate_blue, 1.0 / pulses)) / pulses)
 
     def profile(x):  # the least joint log-likelihood deficit over Gamma_B
         if not 0.0 <= x <= 1.0:
@@ -467,7 +473,9 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
                 clicks_red, pulses, (1.0 - x) * background + x * blue))
         blue_at_red = (rate_red - (1.0 - x) * background) / x if x else rate_blue
         lo, hi = sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0)))
-        return joint(_golden_section(joint, lo, hi, xatol))
+        # the golden section nears a minimum at 0 or 1 only to within xatol
+        return min([joint(_golden_section(joint, lo, hi, xatol))]
+                   + [joint(end) for end in (lo, hi) if end in (0.0, 1.0)])
 
     x_ml = value / (1.0 + value)
     peak = profile(x_ml)

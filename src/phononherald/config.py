@@ -24,6 +24,9 @@ MIN_WINDOW_NS = 0.001  # one picosecond, the unit of a click time
 # every (trial, draw) counter of a stream is a distinct uint64, and so is the
 # header's trial count
 MAX_TRIALS = 2 ** 64 // DRAWS_PER_TRIAL
+# a click time is a float64 uniform times its window's length in picoseconds,
+# exact only up to 2**53 ps (~104 days): every window ends by then
+MAX_WINDOW_END_PS = 2 ** 53
 # ~8x a room-temperature occupation of the 5.3 GHz mode, hotter than any
 # run of the experiment
 MAX_OCCUPATION = 1e4
@@ -208,6 +211,11 @@ def check(config: ExperimentConfig) -> None:
             errors.append(f"chain.dark_rate_hz: dark-count probability {dark} "
                           f"in chain.{window} must be < 1")
     dts = config.protocol.delta_t_list_ns
+    for fields, after_write_ns in (("protocol.delta_t_list_ns", max(dts, default=0.0)),
+                                   ("chain.window_read_ns", chain.window_read_ns)):
+        # protocol.window_geometry's window ends, in floats that cannot overflow
+        if (float(chain.window_write_ns) + float(after_write_ns)) * 1e3 > MAX_WINDOW_END_PS:
+            errors.append(f"chain.window_write_ns, {fields}: a window ends past 2**53 ps")
     if len(dts) == 0:
         errors.append("protocol.delta_t_list_ns: must be non-empty")
     elif any(b <= a for a, b in zip(dts, dts[1:])):

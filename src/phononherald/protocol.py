@@ -274,50 +274,43 @@ class ThermometryResult:
         return max(self.rate_red - self.background_click_prob, 0.0)
 
 
-def _sideband_silent_prob(config: ExperimentConfig, n_bar: float) -> float:
-    """P(no write-window click) on a thermal optical mode of occupation
-    n_bar: the background-silent factor times the no-click probability of
-    the tables' two-mode formula with the read photon left out (n_r = d = 0),
-    1 / (1 + eta * n_bar)."""
-    eta, log_b = silent_subsets(config, config.chain.window_write_ns)
-    return float(np.exp(log_b[3] + gaussian.log_no_click(n_bar, 0.0, 0.0, eta[3], 0.0)))
-
-
 def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryResult:
     """Alternating blue/red pulse trains at the baseline occupation.
 
     Blue pulses run the two-mode-squeezing (Stokes) interaction, red pulses
     the beam-splitter (anti-Stokes) interaction at the same strength
     p_pair, leaving a thermal optical mode of occupation
-    p_pair * (1 + n_base) or p_pair * n_base. The ideal detected-rate
-    asymmetry, (n+1)/n, is the click-probability ratio of the same chain
-    without dark counts or pump leak; it is None when the ideal red click
-    probability is 0 (n_base = 0). The background is the write-window click
-    probability of dark counts and leak alone. Each colour's clicks come from
-    ``rng.bernoulli_clicks`` with q = 1 - P(no click), one ``SAMPLE_CHUNK``
-    of pulses at a time: the cost grows with clicks, not pulses. Blue pulses
-    own trials [0, N) and red ones [N, 2N), N pulses per colour.
+    p_pair * (1 + n_base) or p_pair * n_base, n, which clicks in the write
+    window with q = 1 - (background-silent factor) / (1 + eta n). The ideal
+    detected-rate asymmetry, (n+1)/n, is the ratio of the q's at log
+    background 0 (no dark counts or leak), None at an ideal red q of 0
+    (n_base = 0); the background is the q of dark counts and leak alone.
+    Each colour's clicks come from ``rng.bernoulli_clicks``, one
+    ``SAMPLE_CHUNK`` of pulses at a time: the cost grows with clicks, not
+    pulses. Blue pulses own trials [0, N) and red ones [N, 2N), N per colour.
     """
     if pulses <= 0:
         raise ValueError(f"pulses must be > 0, got {pulses}")
     per_color = pulses // 2
     n_blue = config.protocol.p_pair * (1.0 + config.heating.n_base)
     n_red = config.protocol.p_pair * config.heating.n_base
-    ideal = config.replace(chain=replace(config.chain, dark_rate_hz=0.0,
-                                         leak_fraction=0.0))
-    blue_ideal = 1.0 - _sideband_silent_prob(ideal, n_blue)
-    red_ideal = 1.0 - _sideband_silent_prob(ideal, n_red)
-    ideal_asym = blue_ideal / red_ideal if red_ideal > 0 else None
+    eta, log_b = silent_subsets(config, config.chain.window_write_ns)
+
+    def click_prob(n_bar, log_background):
+        return 1.0 - float(np.exp(log_background + gaussian.log_no_click(
+            n_bar, 0.0, 0.0, eta[3], 0.0)))
+
+    red_ideal = click_prob(n_red, 0.0)
+    ideal_asym = click_prob(n_blue, 0.0) / red_ideal if red_ideal > 0 else None
 
     def count_clicks(n_bar, offset):
         # each SAMPLE_CHUNK restarts its gaps at its first trial
-        q = 1.0 - _sideband_silent_prob(config, n_bar)
+        q = click_prob(n_bar, log_b[3])
         stop = offset + per_color
         return sum(rng.bernoulli_clicks(q, config.seed, start,
                                         min(start + SAMPLE_CHUNK, stop)).size
                    for start in range(offset, stop, SAMPLE_CHUNK))
 
-    _, log_b = silent_subsets(config, config.chain.window_write_ns)
     return ThermometryResult(per_color, count_clicks(n_blue, 0),
                              count_clicks(n_red, per_color),
                              -float(np.expm1(log_b[3])), ideal_asym)

@@ -11,10 +11,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import xlog1py, xlogy
+from scipy.special import expit, xlog1py, xlogy
 from scipy.stats import beta, norm
 
 from phononherald import analysis as A
@@ -574,7 +574,11 @@ def bound_oracle(write, read):
                         + binomial_loglik(n_r, t_r, k * math.exp(-u))),
             bounds=(math.log(k) + 1e-15, -1e-15), method="bounded",
             options={"xatol": 1e-12})
-        return peak + inner.fun
+        # the search nears a maximum at an end (p_W or p_R = 1, where a side
+        # has all coincidences) only to within xatol: the ends are exact
+        ends = (binomial_loglik(n_w, t_w, p_w) + binomial_loglik(n_r, t_r, k / p_w)
+                for p_w in (k, 1.0))
+        return peak - max(-inner.fun, *ends)
 
     def crossing(b):
         return 2.0 * deficit(b) - 1.0
@@ -712,20 +716,29 @@ def occupancy_oracle(red, blue, pulses, background):
     rate_red, rate_blue = red / pulses, blue / pulses
     value = max(rate_red - background, 0.0) / (rate_blue - rate_red)
 
+    def loglik(n, b):
+        return binomial_loglik(blue, pulses, b) + binomial_loglik(
+            red, pulses, (background + n * b) / (1.0 + n))
+
     def profile(n):
-        return -minimize_scalar(
-            lambda b: -(binomial_loglik(blue, pulses, b) + binomial_loglik(
-                red, pulses, (background + n * b) / (1.0 + n))),
-            bounds=(1e-300, 1.0 - 1e-12), method="bounded",
-            options={"xatol": 1e-14}).fun
+        # searched in the blue rate's logit, to sqrt(eps) of it: in the rate
+        # itself that would be ~1e-8, coarse next to a rate near 1
+        inner = minimize_scalar(lambda v: -loglik(n, expit(v)), bounds=(-690.0, 36.0),
+                                method="bounded", options={"xatol": 1e-12})
+        # nor does it reach a maximum at b = 1, where every blue pulse clicks
+        return max(-inner.fun, loglik(n, 1.0))
 
     peak = profile(value)
 
     def crossing(n):
         return 2.0 * (peak - profile(n)) - 1.0
     floor = 1e-12 * value  # without background, n = 0 is impossible
-    lower = brentq(crossing, floor, value, xtol=1e-13) if crossing(floor) > 0 else 0.0
-    return value, lower, brentq(crossing, value, 1.0, xtol=1e-13)
+    # both edges to brentq's relative tolerance, 4 eps, at any size of n
+    lower = brentq(crossing, floor, value, xtol=1e-300) if crossing(floor) > 0 else 0.0
+    # the upper edge at any n: searched in x = n / (1 + n) < 1
+    x_hi = brentq(lambda x: crossing(x / (1.0 - x)), value / (1.0 + value),
+                  1.0 - 1e-12, xtol=1e-300)
+    return value, lower, x_hi / (1.0 - x_hi)
 
 
 OCCUPANCY_ROWS = {  # clicks red, clicks blue, pulses per colour, background
@@ -773,6 +786,89 @@ class TestSidebandOccupancy:
         # 1000 against 1010 clicks: equal rates lie inside the interval
         with pytest.raises(A.EstimatorError, match="no upper limit"):
             A.sideband_occupancy(1_000, 1_010, 100_000)
+
+
+# trial totals: a handful, where every count reaches its total often, and up
+# to 1e9
+TRIAL_TOTALS = st.one_of(st.integers(1, 8), st.integers(1, 10**9))
+
+
+@st.composite
+def window_counts(draw):
+    """(N_coinc, N_1, N_2, T) of one window: any counts that T trials can
+    give, N_coinc = N_1 = N_2 = T included."""
+    t = draw(TRIAL_TOTALS)
+    n1, n2 = draw(st.integers(0, t)), draw(st.integers(0, t))
+    return draw(st.integers(max(0, n1 + n2 - t), min(n1, n2))), n1, n2, t
+
+
+@st.composite
+def colour_counts(draw):
+    """(clicks red, clicks blue, pulses per colour), 0 <= red <= blue <= pulses:
+    more red than blue clicks is the pole alone."""
+    pulses = draw(TRIAL_TOTALS)
+    blue = draw(st.integers(0, pulses))
+    return draw(st.integers(0, blue)), blue, pulses
+
+
+def defined_oracle(oracle, *args):
+    """The oracle's result, or None where scipy's searches are undefined:
+    brentq's bracket holds no crossing when an edge lies at or beyond the
+    range end that the oracle searches to."""
+    try:
+        return oracle(*args)
+    except ValueError:
+        return None
+
+
+def edge_tolerance(trials):
+    """Relative tolerance between an edge and its oracle's. The bounded Brent
+    search finds the bound oracle's inner maximum to ~sqrt(eps) of ln p_W,
+    which moves its edges by up to ~1e-9; and the log-likelihood of
+    ``trials`` trials carries ~trials * eps of rounding, which moves an edge
+    next to a zero value by about twice that."""
+    return 1e-8 + 1e-15 * trials
+
+
+def assert_interval(est):
+    assert math.isfinite(est.value) and est.value >= 0
+    assert math.isfinite(est.sigma_minus) and est.sigma_minus >= 0
+    assert math.isfinite(est.sigma_plus) and est.sigma_plus >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_counts(), window_counts())
+@example((0, 1, 1, 1), (1, 1, 1, 1))  # WRITE 0 of 1, READ 1 of 1
+@example((20_000,) * 4, (20_000,) * 4)  # a leak that saturates both windows
+@example((1, 1, 1, 1), (2, 2, 2, 3))  # the root p_W = 1, which rounding can pass
+def test_bound_at_any_counts_is_an_interval_or_an_estimator_error(write, read):
+    try:
+        got = A.classical_bound(*with_counts(write, read))
+    except A.EstimatorError:
+        return
+    assert_interval(got)
+    want = defined_oracle(bound_oracle, write, read)
+    if want is not None:
+        assert [got.value, got.lower, got.upper] == pytest.approx(
+            want[:3], rel=edge_tolerance(max(write[3], read[3])), abs=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colour_counts(), st.floats(0.0, 1.0, exclude_max=True))
+@example((0, 1, 1), 0.0)  # the one blue pulse clicks, the red one does not
+@example((3, 10, 10), 0.1)  # every blue pulse clicks
+@example((0, 10**9 - 1, 10**9), 0.0)  # one miss: the search resolves 1 - rate
+@example((0, 10**11, 10**11), 0.0)  # a tolerance below the floats next to 1
+def test_occupancy_at_any_counts_is_an_interval_or_an_estimator_error(counts, background):
+    try:
+        got = A.sideband_occupancy(*counts, background)
+    except A.EstimatorError:
+        return
+    assert_interval(got)
+    want = defined_oracle(occupancy_oracle, *counts, background)
+    if want is not None:
+        assert [got.value, got.lower, got.upper] == pytest.approx(
+            want, rel=edge_tolerance(counts[2]), abs=0)
 
 
 class TestExponentialFit:

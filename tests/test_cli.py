@@ -71,6 +71,16 @@ def test_cli_does_not_import_fock_oracle():
     assert not scipy_modules(modules)
 
 
+def test_package_root_imports_no_numpy():
+    # the package's API is its modules: the root holds only __version__
+    code = "import json, sys, phononherald; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    modules = set(json.loads(proc.stdout))
+    assert "numpy" not in modules
+    assert not {m for m in modules if m.startswith("phononherald.")}
+
+
 def test_no_package_module_imports_scipy():
     """Every import statement of the package, at module level or inside a
     function, names a module other than scipy: the package needs numpy
@@ -726,17 +736,26 @@ _EDGES = {
     ("chain", "window_read_ns"): (config_mod.MIN_WINDOW_NS,),
     ("protocol", "delta_t_list_ns"): ((0.0,), (0.0, 1e9)),
 }
+# lossless detectors without background and a pair per pulse: the one blue
+# pulse clicks and the red one cannot (n_base = 0), so every blue pulse clicks
+_SATURATED_BLUE = {
+    ("chain", "dark_rate_hz"): 0.0, ("chain", "leak_fraction"): 0.0,
+    ("chain", "eta_fc"): 1.0, ("chain", "eta_c"): 1.0, ("chain", "eta_qe1"): 1.0,
+    ("chain", "eta_qe2"): 1.0, ("chain", "eta_path1"): 0.5, ("chain", "eta_path2"): 0.5,
+    ("protocol", "p_pair"): 1.0, ("heating", "n_base"): 0.0,
+}
 _TARGETS = ("100,8.0\n", "100,8.0\n700,6.0\n", "0,1.0\n1e9,1.0\n", "-100,8.0\n")
 
 
-def _stages(d):
-    """Every subcommand, small, with its outputs under directory ``d``."""
+def _stages(d, pulses):
+    """Every subcommand, small, with its outputs under directory ``d``;
+    thermometry and fig2 take ``pulses`` pulses."""
     return (
         ["simulate", "--trials", 3000, "--out", d / "s.tags"],
         ["analyze", d / "s.tags", "--trials", 3000, "--delta-n", 2,
          "--out", d / "analysis"],
-        ["thermometry", "--pulses", 4000, "--out", d / "thermometry.json"],
-        ["reproduce", "--figure", "fig2", "--trials", 4000, "--out", d / "figs"],
+        ["thermometry", "--pulses", pulses, "--out", d / "thermometry.json"],
+        ["reproduce", "--figure", "fig2", "--trials", pulses, "--out", d / "figs"],
         ["reproduce", "--figure", "fig3b", "--trials", 3000, "--out", d / "figs"],
         ["reproduce", "--figure", "fig3c", "--out", d / "figs"],
         ["reproduce", "--figure", "m3", "--out", d / "figs"],
@@ -747,12 +766,19 @@ def _stages(d):
 @settings(max_examples=24, derandomize=True, deadline=None)
 @given(st.fixed_dictionaries({}, optional={
     path: st.sampled_from(values) for path, values in _EDGES.items()}),
-    st.sampled_from(_TARGETS))
-@example({("chain", "eta_qe1"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0])
-@example({("protocol", "p_pair"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0])
-@example({}, _TARGETS[-1])
-@example({("heating", "a_heat"): 0.0}, _TARGETS[0])
-def test_every_stage_keeps_the_exit_code_contract(edges, target):
+    st.sampled_from(_TARGETS), st.just(4000))
+@example({("chain", "eta_qe1"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0], 4000)
+@example({("protocol", "p_pair"): 0.0, ("chain", "dark_rate_hz"): 0.0}, _TARGETS[0], 4000)
+@example({}, _TARGETS[-1], 4000)
+@example({("heating", "a_heat"): 0.0}, _TARGETS[0], 4000)
+@example(_SATURATED_BLUE, _TARGETS[0], 2)
+# the leak saturates both windows: every READ trial is a coincidence
+@example({("chain", "leak_fraction"): 0.999999}, _TARGETS[0], 4000)
+# windows that end past 2**53 ps
+@example({("protocol", "delta_t_list_ns"): (1e300,)}, _TARGETS[0], 4000)
+@example({("chain", "window_read_ns"): 1e18, ("chain", "dark_rate_hz"): 0.0},
+         _TARGETS[0], 4000)
+def test_every_stage_keeps_the_exit_code_contract(edges, target, pulses):
     # in process, on edge-value configs: every subcommand exits with a
     # documented code, lets no exception escape and writes strict JSON
     config = {}
@@ -762,7 +788,7 @@ def test_every_stage_keeps_the_exit_code_contract(edges, target):
         tmp = Path(tmp)
         (tmp / "config.json").write_text(json.dumps(config))
         (tmp / "target.csv").write_text("delta_t_ns,g2_om\n" + target)
-        for argv in _stages(tmp):
+        for argv in _stages(tmp, pulses):
             argv += ["--config", tmp / "config.json"]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):

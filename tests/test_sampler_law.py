@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from phononherald import analysis, config, protocol, rng
+from phononherald import analysis, config, gaussian, protocol, rng
+from phononherald.detection import silent_subsets
 
 ALPHA = 2.0 * stats.norm.sf(5.0)  # 5.7e-7 per check
 
@@ -158,9 +159,11 @@ def test_empty_range():
 # --- thermometry -------------------------------------------------------------
 
 def _click_probabilities(cfg):
-    """q per colour, blue then red: 1 - P(no write-window click)."""
+    """q per colour, blue then red: 1 - P(no write-window click), the
+    background-silent factor times 1 / (1 + eta * n_bar)."""
+    eta, log_b = silent_subsets(cfg, cfg.chain.window_write_ns)
     n_bar = cfg.protocol.p_pair * (1.0 + cfg.heating.n_base)
-    return [1.0 - protocol._sideband_silent_prob(cfg, n)
+    return [1.0 - float(np.exp(log_b[3] + gaussian.log_no_click(n, 0.0, 0.0, eta[3], 0.0)))
             for n in (n_bar, cfg.protocol.p_pair * cfg.heating.n_base)]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from phononherald import config as config_mod
 from phononherald import fock as F
+from phononherald import gaussian as G
 from phononherald import protocol
 from phononherald.detection import silent_subsets
 
@@ -89,14 +90,22 @@ def test_thermometry_probs_match_fock_oracle(default_config):
     # the ideal asymmetry uses the same chain without dark counts or leak
     ideal = cfg.replace(chain=dataclasses.replace(cfg.chain, dark_rate_hz=0.0,
                                                   leak_fraction=0.0))
-    for chain_cfg in (cfg, ideal):
-        q = F.pair_click_matrix(
-            n_max, *silent_subsets(chain_cfg, chain_cfg.chain.window_write_ns))
-        for n_bar, state in ((strength * (1.0 + n_base), blue),
-                             (strength * n_base, red)):
+    click = {}  # (chain, colour) -> 1 - P(no write-window click), by the oracle
+    for name, chain_cfg in (("chain", cfg), ("ideal", ideal)):
+        eta, log_b = silent_subsets(chain_cfg, chain_cfg.chain.window_write_ns)
+        q = F.pair_click_matrix(n_max, eta, log_b)
+        click[name, None] = 1.0 - q[0, 0]  # no photon: the background alone
+        for colour, n_bar, state in (("blue", strength * (1.0 + n_base), blue),
+                                     ("red", strength * n_base, red)):
             want = q[0] @ state.joint_number_distribution().sum(axis=0)
-            got = protocol._sideband_silent_prob(chain_cfg, n_bar)
+            # the closed form that simulate_thermometry draws clicks with
+            got = np.exp(log_b[3] + G.log_no_click(n_bar, 0.0, 0.0, eta[3], 0.0))
             assert abs(got - want) <= PATTERN_ABS_TOL
+            click[name, colour] = 1.0 - want
+    result = protocol.simulate_thermometry(cfg, 2)
+    assert result.ideal_asymmetry == pytest.approx(
+        click["ideal", "blue"] / click["ideal", "red"], rel=IMPLIED_REL_TOL, abs=0)
+    assert abs(result.background_click_prob - click["chain", None]) <= PATTERN_ABS_TOL
 
 
 @settings(max_examples=60, deadline=None)
