@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,30 @@ class TestSimulateAnalyze:
         n_full = json.loads((full / "summary.json").read_text())[0]["counters"]["N_R"]
         n_trim = json.loads((trimmed / "summary.json").read_text())[0]["counters"]["N_R"]
         assert n_trim < n_full
+
+    @pytest.mark.parametrize("fast, common, delta_n, code, digests", [
+        # every estimate defined, with the offsets 1..3 and their pool
+        (True, [], 3, 0,
+         ("c7f3a99b109ba0568a4b63416d76a2c47bbf1395fa39b0c133b80a6d81891702",
+          "df19f861c652bfd27f69dc326f8d37b5fef57ea100a5ab4e3732d5a20ec81088")),
+        # two settings at seed 2: neither window has a coincidence, so each
+        # entry's bound is undefined, written as an error next to the
+        # estimates that its counts define
+        (False, ["--trials", 1_000_000, "--seed", 2, "--delta-t-ns", 100, 1000], 2, 5,
+         ("33048bcea5b4b7db16c6c2a52a1c16bfeebf2e24cdb93679e94e5f9cde8aefa8",
+          "cefd9e00ff21510ed606ef4a008cf86ef487be38ae6ac634ec755c395b2888bf")),
+    ], ids=["fast", "undefined-bound"])
+    def test_golden_analysis_outputs(self, tmp_path, fast_config_path, fast, common,
+                                     delta_n, code, digests):
+        # pins the bytes of summary.json and correlations.csv: every count,
+        # estimate, interval, key order and error message of the statistics
+        common = (["--config", fast_config_path] if fast else []) + common
+        stream, out = tmp_path / "s.tags", tmp_path / "o"
+        assert run(["simulate", "--out", stream, *common]) == 0
+        assert run(["analyze", stream, "--out", out, "--delta-n", delta_n, *common]) == code
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("summary.json", "correlations.csv"))
+        assert got == digests
 
 
 class TestExitCodes:
