@@ -21,9 +21,8 @@ def main():
     cfg = C.default_config()
     print(f"{'delta_t_ns':>10} {'g2_om':>8} {'bound':>8} {'nonclassical':>12}")
     for dt in args.delta_t_ns:
-        table = protocol.build_outcome_table(cfg, dt)
-        g = table.g2_cross_implied()
-        b = table.classical_bound_implied()
+        g, g_ww, g_rr = protocol.pattern_g2(protocol.build_outcome_table(cfg, dt).probs)[0]
+        b = (g_ww * g_rr) ** 0.5
         print(f"{dt:>10.0f} {g:>8.3f} {b:>8.3f} {str(g > b):>12}")
 
 

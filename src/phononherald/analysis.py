@@ -2,14 +2,13 @@
 binomial-likelihood confidence intervals, the Cauchy-Schwarz classical
 bound, sideband thermometry and exponential fits.
 
-The numerics are numpy and the standard library only: importing scipy
-would cost more than most stages' work. Beta quantiles come from a
-safeguarded Newton solve on the regularized incomplete beta function,
-evaluated as in DiDonato & Morris (ACM TOMS 18, 360 (1992)): their
-continued fraction by the modified Lentz method, times a power term built
-from Stirling-series differences. The solve runs elementwise over arrays,
-so one call gives every interval of a table; each element leaves the
-active set once it has converged. Exponential fits use variable
+A dn = 0 g2 is ``protocol.pattern_g2`` of a table's 16 pattern counts, the
+rule that gives the model's g2 from its probabilities; the lag sweep counts
+dn >= 1. ``solve`` turns any number of ``Term``s into estimates with one
+interval solve: Beta quantiles, elementwise over arrays, by a safeguarded
+Newton solve on the regularized incomplete beta function of DiDonato &
+Morris (ACM TOMS 18, 360 (1992)), in numpy alone (importing scipy would
+cost more than most stages' work). Exponential fits use variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
 golden-section search, which the heating calibration shares.
 
@@ -22,13 +21,15 @@ profile likelihoods, where the log-likelihood is 1/2 below its peak."""
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tags
 from .config import ExperimentConfig
-from .protocol import MASKS, SLOT_BITS, EstimatorError, g2_ratio, window_geometry
+from .protocol import (G2_EVENTS, MASKS, SLOT_BITS, EstimatorError, pattern_g2,
+                       window_geometry)
 
 TAIL_MASS = 0.16
 
@@ -197,6 +198,7 @@ class CorrelationEstimate:
     sigma_minus: float
     sigma_plus: float
     counts: dict = field(default_factory=dict)
+    scale: float | None = None  # of a g2: value = N_coinc / pairs * scale
 
     def __post_init__(self):
         if self.value < 0 or self.sigma_minus > self.value + 1e-12:
@@ -218,24 +220,21 @@ class CorrelationEstimate:
 @dataclass
 class TrialTable:
     """Clicked trials of one write->read delay setting: the sorted, unique
-    local trials with a click in the (trimmed) windows, each one's nonzero
-    click pattern, built from ``protocol.SLOT_BITS`` as it indexes
-    ``OutcomeTable.probs``, and whether it is in the W and the R mask."""
+    local trials with a click in the (trimmed) windows and each one's
+    nonzero click pattern, built from ``protocol.SLOT_BITS`` as it indexes
+    ``OutcomeTable.probs``."""
 
     delta_t_ns: float
     trials: int
     clicked: np.ndarray
     patterns: np.ndarray
 
-    def __post_init__(self):
-        self.is_write, self.is_read = (MASKS[name][self.patterns] for name in ("W", "R"))
-
     def cross_coincidences(self, delta_n_max: int) -> np.ndarray:
         """W clicks at trial n with an R click at trial n + dn, for each dn in
-        0..delta_n_max: one sweep adds each W->R gap of at most delta_n_max
-        to its offset's count."""
+        0..delta_n_max: slot 0 holds the trials in both masks, and one sweep
+        adds each W->R gap of 1..delta_n_max to its offset's count."""
         counts = np.zeros(delta_n_max + 1, dtype=np.int64)
-        c, w, r = self.clicked, self.is_write, self.is_read
+        c, (w, r) = self.clicked, (MASKS[name][self.patterns] for name in ("W", "R"))
         counts[0] = np.count_nonzero(w & r)
         for lo in range(0, c.size, tags.BLOCK_RECORDS):
             for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
@@ -267,12 +266,11 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
     """Assign every record to its setting and trial, setting its slot's bit
     in the trial's click pattern.
 
-    ``read_window_ns`` trims the read evaluation window post hoc (e.g.
-    55 ns -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed but
-    inside the configured window are dropped silently. Records outside
+    ``read_window_ns`` trims the read evaluation window post hoc (e.g. 55 ns
+    -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed
+    but inside the configured window are dropped silently. Records outside
     their labelled window are format errors. The tables depend neither on
-    the record order nor on repeated records.
-    """
+    the record order nor on repeated records."""
     trials, settings = config.protocol.trials, config.protocol.delta_t_list_ns
     if stream.trial_count != trials * len(settings):
         raise tags.TagFormatError(f"stream holds {stream.trial_count} trials, "
@@ -314,53 +312,60 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
             for dt, lo, hi in zip(settings, bounds, bounds[1:])}
 
 
-def _scaled_estimates(n_1, n_2, n_trials, pairs, counts) -> list:
-    """g = P(coincidence) / (P1 * P2) with singles n_1, n_2 out of n_trials,
-    for each ``counts``' N_coinc out of its trial ``pairs``: one interval solve."""
-    scale = g2_ratio(1.0, n_1, n_2, n_trials)
-    intervals = binomial_ci(np.array([c["N_coinc"] for c in counts]), np.array(pairs))
-    return [CorrelationEstimate(p * scale, lo * scale, hi * scale, c)
-            for p, lo, hi, c in zip(*(v.tolist() for v in intervals), counts)]
+# an estimate before its interval solve: g = counts["N_coinc"] / pairs * scale
+Term = namedtuple("Term", "pairs scale counts")
+
+
+def solve(nest):
+    """``nest``, nested dicts holding ``Term``s, with each Term replaced by its
+    estimate: one interval solve, once for a Term held in several places."""
+    def each(x, f):  # x with f applied to each of its Terms
+        return ({key: each(item, f) for key, item in x.items()} if isinstance(x, dict)
+                else f(x) if isinstance(x, Term) else x)
+    terms = {}
+    each(nest, lambda term: terms.setdefault(id(term), term))
+    intervals = (v.tolist() for v in binomial_ci(
+        np.array([t.counts["N_coinc"] for t in terms.values()]),
+        np.array([t.pairs for t in terms.values()])))
+    done = {key: CorrelationEstimate(*(v * t.scale for v in interval), t.counts, t.scale)
+            for key, t, *interval in zip(terms, terms.values(), *intervals)}
+    return each(nest, lambda term: done[id(term)])
+
+
+def auto_term(row, trials: int, window: str) -> Term:
+    """HBT autocorrelation in window X (W of WRITE, R of READ) of a count row:
+    N_X1X2 over N_X1 and N_X2. WRITE pools every setting's row (the mechanics
+    are reinitialized before each write), READ takes one setting's."""
+    name = f"g2_{window[0] * 2}"
+    coinc, n1, n2 = (int(row[MASKS[event]].sum()) for event in G2_EVENTS[name])
+    return Term(trials, float(pattern_g2(row, trials, (name,))[1][0]),
+                {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": trials, "window": window})
+
+
+def cross_terms(table: TrialTable, row, delta_n_max: int) -> dict:
+    """Write at trial n, read at n + dn: g2_om at dn = 0 from the count row's
+    N_WR, N_W and N_R, and for delta_n_max > 0 each dn = 1..delta_n_max
+    ("delta_n") and their pool ("delta_n_pooled") from one lag sweep."""
+    t, scale = table.trials, float(pattern_g2(row, table.trials, ("g2_om",))[1][0])
+    n_wr, n_w, n_r = (int(row[MASKS[event]].sum()) for event in G2_EVENTS["g2_om"])
+
+    def term(dn, coinc, pairs):
+        return Term(pairs, scale, {"N_coinc": coinc, "pairs": pairs, "N_W": n_w,
+                                   "N_R": n_r, "T": t, "delta_n": dn})
+    if not delta_n_max:
+        return {"g2_om": term(0, n_wr, t)}
+    swept, pooled = table.cross_coincidences(delta_n_max)[1:].tolist(), range(1, delta_n_max + 1)
+    return {"g2_om": term(0, n_wr, t),
+            "delta_n": {dn: term(dn, k, t - dn) for dn, k in zip(pooled, swept)},
+            "delta_n_pooled": term(list(pooled), sum(swept), t * delta_n_max - sum(pooled))}
 
 
 def g2_cross_estimate(table: TrialTable, delta_n_max: int = 0) -> dict:
-    """Cross-correlation between the write of trial n and the read of trial
-    n + dn: g2_om at dn = 0 and, for delta_n_max > 0, the estimates at
-    dn = 1..delta_n_max ("delta_n") and their pool ("delta_n_pooled"), from
-    one lag sweep and one interval solve."""
-    t, pooled = table.trials, list(range(1, delta_n_max + 1))
-    n_w, n_r = (int(np.count_nonzero(m)) for m in (table.is_write, table.is_read))
-    coinc = table.cross_coincidences(delta_n_max).tolist()
-    rows = [(dn, k, t - dn) for dn, k in enumerate(coinc)]
-    if pooled:
-        rows.append((pooled, sum(coinc[1:]), t * len(pooled) - sum(pooled)))
-    g2_om, *others = _scaled_estimates(n_w, n_r, t, [m for *_, m in rows], [
-        {"N_coinc": k, "pairs": m, "N_W": n_w, "N_R": n_r, "T": t, "delta_n": dn}
-        for dn, k, m in rows])
-    if not pooled:
-        return {"g2_om": g2_om}
-    return {"g2_om": g2_om, "delta_n": dict(zip(pooled, others)), "delta_n_pooled": others[-1]}
+    return solve(cross_terms(table, table.pattern_counts(), delta_n_max))
 
 
-def g2_auto_estimate(tables, window: str, delta_t_ns=None) -> CorrelationEstimate:
-    """HBT autocorrelation from the two detectors within one window, over
-    ``tables`` as ``tabulate`` returns them (delay -> TrialTable).
-
-    WRITE pools counts across all delay settings (the mechanics are
-    reinitialized before each write); READ uses only the table matching
-    ``delta_t_ns`` (delayed heating makes the read state delay-dependent).
-    """
-    if window not in ("WRITE", "READ"):
-        raise ValueError(f"window must be WRITE or READ, got {window!r}")
-    if window == "READ" and delta_t_ns is None:
-        raise ValueError("READ autocorrelation needs delta_t_ns")
-    counters = [tab.counters() for tab in (
-        tables.values() if window == "WRITE" else [tables[delta_t_ns]])]
-    x = window[0]  # the counters of window X are N_X1, N_X2 and N_X1X2
-    t, coinc, n1, n2 = (sum(c[key] for c in counters)
-                        for key in ("T", f"N_{x}1{x}2", f"N_{x}1", f"N_{x}2"))
-    counts = {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": t, "window": window}
-    return _scaled_estimates(n1, n2, t, [t], [counts])[0]
+def g2_auto_estimate(row, trials: int, window: str) -> CorrelationEstimate:
+    return solve(auto_term(row, trials, window))
 
 
 def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:
@@ -388,16 +393,14 @@ def _likelihood_edge(deficit, inside: float, outside: float) -> float:
 def classical_bound(auto_write: CorrelationEstimate,
                     auto_read: CorrelationEstimate) -> CorrelationEstimate:
     """Profile likelihood of b = sqrt(g_WW * g_RR) (Rolke, Lopez & Conrad,
-    NIM A 551, 493 (2005)). With g = p * s, a fixed b fixes p_W * p_R; the
+    NIM A 551, 493 (2005)). With g = p * scale, a fixed b fixes p_W * p_R; the
     joint log-likelihood is concave in ln p_W along it, so its maximum is a
     root of the quadratic of its stationarity condition, and the profile is
     concave in ln b. The value is the bound of the maximum-likelihood g's:
     0, with the one-sided interval [0, upper], when a side has no coincidence."""
     counts = {"write": dict(auto_write.counts), "read": dict(auto_read.counts)}
-    if any(c.get("T", 0) < 1 for c in counts.values()):
-        raise EstimatorError("autocorrelation counts missing trial total")
-    (n_w, t_w, s_w), (n_r, t_r, s_r) = ((c["N_coinc"], c["T"], g2_ratio(
-        1.0, c["N_1"], c["N_2"], c["T"])) for c in counts.values())
+    (n_w, t_w, s_w), (n_r, t_r, s_r) = ((est.counts["N_coinc"], est.counts["T"], est.scale)
+                                        for est in (auto_write, auto_read))
     if n_w == 0 and n_r == 0:
         raise DegenerateCountsError(
             "both autocorrelations have zero coincidences; bound undefined")
@@ -521,10 +524,8 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     Variable projection: at fixed tau, A and c solve a linear least
     squares, so only tau is searched, on a grid in log tau over
     FIT_TAU_BOUNDS and then by golden section between the grid neighbours
-    of the best point. A best tau on a bound is a FitError.
-    """
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
+    of the best point. A best tau on a bound is a FitError."""
+    t, y = (np.asarray(v, dtype=float) for v in (t, y))
     if t.size < 4 or t.size != y.size:
         raise ValueError("need at least 4 (t, y) points")
     if np.any(np.diff(t) <= 0):
@@ -540,8 +541,7 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     grid = np.linspace(*np.log(FIT_TAU_BOUNDS), FIT_SCAN_POINTS)
     best = int(np.argmin([ssr(x) for x in grid]))
     if not 0 < best < grid.size - 1:
-        raise FitError(f"exponential fit: best time constant at a bound of "
-                       f"{FIT_TAU_BOUNDS}")
+        raise FitError(f"exponential fit: best time constant at a bound of {FIT_TAU_BOUNDS}")
     log_tau = _golden_section(ssr, grid[best - 1], grid[best + 1], 1e-10)
     a, c, rss = _projected_fit(t, y, log_tau)
     amplitude, offset = (a, c - a) if model == "decay" else (-a, c)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import _golden_section
 from .config import ConfigError, ExperimentConfig
-from .protocol import CalibrationError, build_outcome_table
+from .protocol import CalibrationError, build_outcome_table, pattern_g2
 
 A_HEAT_BOUNDS = (0.0, 5.0)
 RESIDUAL_REL_TOL = 0.05
@@ -24,8 +24,8 @@ RESIDUAL_REL_TOL = 0.05
 def model_curve(config: ExperimentConfig, delta_ts, a_heat: float) -> np.ndarray:
     heated = config.replace(
         heating=dataclasses.replace(config.heating, a_heat=float(a_heat)))
-    return np.array([
-        build_outcome_table(heated, dt).g2_cross_implied() for dt in delta_ts])
+    return np.array([pattern_g2(build_outcome_table(heated, dt).probs, names=("g2_om",))[0][0]
+                     for dt in delta_ts])
 
 
 def calibrate_a_heat(config: ExperimentConfig, targets) -> float:

@@ -24,7 +24,6 @@ import io
 import json
 import logging
 import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -56,8 +55,7 @@ def _load_config(args) -> config_mod.ExperimentConfig:
     if getattr(args, "trials", None) is not None:
         proto = dataclasses.replace(proto, trials=args.trials)
     if getattr(args, "delta_t_ns", None):
-        proto = dataclasses.replace(
-            proto, delta_t_list_ns=tuple(args.delta_t_ns))
+        proto = dataclasses.replace(proto, delta_t_list_ns=tuple(args.delta_t_ns))
     seed = getattr(args, "seed", None)
     return cfg.replace(protocol=proto, seed=cfg.seed if seed is None else seed)
 
@@ -73,7 +71,7 @@ def _write_manifest(cfg, args, outputs):
         "config_hash": f"{cfg.config_hash():016x}",
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "inputs": [str(source)],
         "outputs": [str(p) for p in outputs],
         "overrides": {k: v for k, v in vars(args).items()
@@ -96,16 +94,14 @@ def _json(obj) -> str:
 
 
 def cmd_simulate(cfg, args):
-    tables = [protocol.build_outcome_table(cfg, dt)
-              for dt in cfg.protocol.delta_t_list_ns]
+    tables = [protocol.build_outcome_table(cfg, dt) for dt in cfg.protocol.delta_t_list_ns]
     stream = protocol.sample_trials(cfg, tables, threads=args.threads or 1)
     log.info("sampled %d records in %d trials", len(stream), stream.trial_count)
     return {Path(args.out): lambda path: tags.write_tagstream(stream, path)}, EXIT_OK
 
 
 def _estimate(entry, key, fn, *args):
-    """entry[key] = fn(*args); an undefined estimate is left out, and the
-    first one's message goes under entry["error"]."""
+    """entry[key] = fn(*args), or the first undefined one's message as entry["error"]."""
     try:
         entry[key] = fn(*args)
     except protocol.EstimatorError as exc:
@@ -113,22 +109,27 @@ def _estimate(entry, key, fn, *args):
 
 
 def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
-    """Each setting's counters and every estimate that its counts define."""
+    """Each setting's counters and every estimate that its count row and lag
+    sweep define, delta_n, delta_n_pooled and error last: one interval solve."""
     from . import analysis
     trial_tables = analysis.tabulate(stream, cfg, read_window_ns=read_window_ns)
+    rows = {dt: table.pattern_counts() for dt, table in trial_tables.items()}
+    trials = cfg.protocol.trials
+    far = delta_n_max >= trials  # no offset >= T leaves a trial pair
     write = {}  # the WRITE autocorrelation pools every setting: estimated once
-    _estimate(write, "g2_auto_write", analysis.g2_auto_estimate, trial_tables, "WRITE")
-    results = []
+    _estimate(write, "g2_auto_write", analysis.auto_term, sum(rows.values()),
+              trials * len(rows), "WRITE")
+    entries = {}
     for delta_t, table in trial_tables.items():
-        entry = {"delta_t_ns": delta_t, "counters": table.counters()}
-        far = delta_n_max >= table.trials  # no offset >= T leaves a trial pair
-        # g2_om and each offset's estimate and their pool: one lag sweep, one interval solve
-        _estimate(entry, "cross", analysis.g2_cross_estimate, table, 0 if far else delta_n_max)
+        entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": table.counters()}
+        _estimate(entry, "cross", analysis.cross_terms, table, rows[delta_t],
+                  0 if far else delta_n_max)
         entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error
             entry.setdefault(key, value)
-        _estimate(entry, "g2_auto_read", analysis.g2_auto_estimate,
-                  trial_tables, "READ", delta_t)
+        _estimate(entry, "g2_auto_read", analysis.auto_term, rows[delta_t], trials, "READ")
+    entries = list(analysis.solve(entries).values())
+    for entry in entries:
         if "g2_auto_write" in entry and "g2_auto_read" in entry:
             _estimate(entry, "classical_bound", analysis.classical_bound,
                       entry["g2_auto_write"], entry["g2_auto_read"])
@@ -136,9 +137,11 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
             entry["cauchy_schwarz"] = analysis.cauchy_schwarz_test(
                 entry["g2_om"], entry["classical_bound"])
         if far:
-            entry.setdefault("error", f"offset {table.trials} leaves no trial pairs")
-        results.append(entry)
-    return results
+            entry.setdefault("error", f"offset {trials} leaves no trial pairs")
+        for key in ("delta_n", "delta_n_pooled", "error"):
+            if key in entry:
+                entry[key] = entry.pop(key)
+    return entries
 
 
 def _plain(value):
@@ -168,11 +171,7 @@ def cmd_analyze(cfg, args):
             rows.append([entry["delta_t_ns"], *_interval(entry["g2_om"]),
                          *_interval(entry["classical_bound"]),
                          str(entry["cauchy_schwarz"].violated).lower()])
-        item = _plain(entry)
-        for key in ("delta_n", "delta_n_pooled", "error"):  # listed last, in this order
-            if key in item:
-                item[key] = item.pop(key)
-        summary.append(item)
+        summary.append(_plain(entry))
     out = Path(args.out)
     outputs = {
         out / "correlations.csv": _csv(
@@ -242,11 +241,12 @@ def _reproduce_fig3b(cfg, args):
 
 
 def _reproduce_fig3c(cfg, args):
-    tables = [protocol.build_outcome_table(cfg, dt) for dt in FIG3C_DELAYS]
+    rows = []
+    for dt in FIG3C_DELAYS:
+        g_om, g_ww, g_rr = protocol.pattern_g2(protocol.build_outcome_table(cfg, dt).probs)[0]
+        rows.append([dt, float(g_om), float(np.sqrt(g_ww * g_rr))])
     return {"fig3c_correlation_decay.csv": _csv(
-        ["delta_t_ns", "g2_om_model", "bound_model"],
-        [[t.delta_t_ns, t.g2_cross_implied(), t.classical_bound_implied()]
-         for t in tables])}
+        ["delta_t_ns", "g2_om_model", "bound_model"], rows)}
 
 
 def _reproduce_m3(cfg, args):

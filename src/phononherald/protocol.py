@@ -51,13 +51,24 @@ MASKS = {"W1": _W1, "W2": _W2, "R1": _R1, "R2": _R2,
          "W": _W1 | _W2, "R": _R1 | _R2, "WR": (_W1 | _W2) & (_R1 | _R2)}
 
 
-def g2_ratio(both, one, two, total=1.0) -> float:
-    """P(both) / (P(one) * P(two)), each given as a count (or probability)
-    out of ``total``: the one g2 rule of the model tables and the data."""
-    singles = (one / total) * (two / total) if one and two else 0.0
-    if singles == 0.0:  # a zero single, or a product below the float range
+# the (both, one, two) events of each g2 = P(both) / (P(one) P(two))
+G2_EVENTS = {"g2_om": ("WR", "W", "R"), "g2_WW": ("W1W2", "W1", "W2"),
+             "g2_RR": ("R1R2", "R1", "R2")}
+
+
+def pattern_g2(counts, total=1.0, names=tuple(G2_EVENTS)):
+    """The ``G2_EVENTS`` g2 of each of ``names``, along the last axis, from
+    (..., 16) click-pattern counts, or probabilities, out of ``total``: each
+    P is the sum of its ``MASKS`` patterns. The one g2 rule of the data and
+    the model tables. Also returns 1 / (P(one) P(two)), the factor that turns
+    P(both), or an interval of it, into g2. A zero single is an error."""
+    counts = np.asarray(counts)
+    both, one, two = (np.stack([counts[..., MASKS[G2_EVENTS[name][i]]].sum(-1)
+                                for name in names], -1) for i in range(3))
+    singles = (one / total) * (two / total)
+    if not singles.all():  # a zero single, or a product below the float range
         raise EstimatorError("zero single-event probability")
-    return both / singles
+    return both / total / singles, 1.0 / singles
 
 
 def heating_occupation(delta_t_ns: float, heating) -> float:
@@ -80,8 +91,9 @@ class OutcomeTable:
 
     ``probs[w1*8 + w2*4 + r1*2 + r2]`` is the probability of the pattern,
     whose bits are the ``SLOT_BITS`` of its clicks.
-    The table holds click probabilities only: every statistic the pipeline
-    reports (g2, the Cauchy-Schwarz bound) is built from click patterns.
+    The table holds click probabilities only: the model's g2 are
+    ``pattern_g2(probs)``, the rule that the analysis applies to a stream's
+    pattern counts, and its Cauchy-Schwarz bound is sqrt(g2_WW * g2_RR).
     """
 
     delta_t_ns: float
@@ -92,24 +104,6 @@ class OutcomeTable:
         # written so that any NaN or infinite entry fails as well
         if not (abs(total - 1.0) <= PROB_SUM_TOL and self.probs.min() >= -1e-15):
             raise ValueError(f"outcome table sums to {total}, not 1")
-
-    def _g2(self, one: str, two: str, both: str) -> float:
-        """P(both) / (P(one) * P(two)) over the patterns of those MASKS."""
-        p_one, p_two, p_both = (float(self.probs[MASKS[k]].sum())
-                                for k in (one, two, both))
-        return g2_ratio(p_both, p_one, p_two)
-
-    def g2_cross_implied(self) -> float:
-        return self._g2("W", "R", "WR")
-
-    def g2_auto_write_implied(self) -> float:
-        return self._g2("W1", "W2", "W1W2")
-
-    def g2_auto_read_implied(self) -> float:
-        return self._g2("R1", "R2", "R1R2")
-
-    def classical_bound_implied(self) -> float:
-        return float(np.sqrt(self.g2_auto_write_implied() * self.g2_auto_read_implied()))
 
 
 def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeTable:

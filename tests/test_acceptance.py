@@ -111,8 +111,8 @@ def test_criterion_4_headline_correlation():
     tt = A.tabulate(stream, cfg)[100.0]
     cross_all = A.g2_cross_estimate(tt, 10)
     cross = cross_all["g2_om"]
-    auto_w = A.g2_auto_estimate({100.0: tt}, "WRITE")
-    auto_r = A.g2_auto_estimate({100.0: tt}, "READ", 100.0)
+    auto_w = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "WRITE")
+    auto_r = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "READ")
     bound = A.classical_bound(auto_w, auto_r)
     verdict = A.cauchy_schwarz_test(cross, bound)
     pooled = cross_all["delta_n_pooled"]
@@ -134,9 +134,9 @@ def test_criterion_5_correlation_decay():
     cfg = C.default_config()
     gs, bounds = [], []
     for dt in cli.FIG3C_DELAYS:
-        table = protocol.build_outcome_table(cfg, dt)
-        gs.append(table.g2_cross_implied())
-        bounds.append(table.classical_bound_implied())
+        g2_om, g2_ww, g2_rr = protocol.pattern_g2(protocol.build_outcome_table(cfg, dt).probs)[0]
+        gs.append(g2_om)
+        bounds.append(np.sqrt(g2_ww * g2_rr))
     gs, bounds = np.array(gs), np.array(bounds)
     monotone = bool(np.all(np.diff(gs) < 0))
     above = bool(np.all(gs > bounds))
@@ -221,14 +221,14 @@ def test_criterion_8_statistics_engine():
             patterns = protocol.SLOT_BITS @ np.array([x1, x2, x1, x2])
             clicked = np.flatnonzero(patterns)
             tt = A.TrialTable(100.0, x1.size, clicked, patterns[clicked])
-            aw = A.g2_auto_estimate({100.0: tt}, "WRITE")
+            aw = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "WRITE")
             c = dict(aw.counts)
             c["N_coinc"] = c1
-            aw = A.CorrelationEstimate(aw.value, aw.sigma_minus, aw.sigma_plus, c)
-            ar = A.g2_auto_estimate({100.0: tt}, "READ", 100.0)
+            aw = A.CorrelationEstimate(aw.value, aw.sigma_minus, aw.sigma_plus, c, aw.scale)
+            ar = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "READ")
             cr = dict(ar.counts)
             cr["N_coinc"] = c2
-            ar = A.CorrelationEstimate(ar.value, ar.sigma_minus, ar.sigma_plus, cr)
+            ar = A.CorrelationEstimate(ar.value, ar.sigma_minus, ar.sigma_plus, cr, ar.scale)
             bound = A.classical_bound(aw, ar)
             g1 = c1 / c["T"] / ((c["N_1"] / c["T"]) * (c["N_2"] / c["T"]))
             g2 = c2 / cr["T"] / ((cr["N_1"] / cr["T"]) * (cr["N_2"] / cr["T"]))

@@ -295,14 +295,15 @@ class TestCorrelationEstimators:
     def test_auto_write_pools_settings(self):
         t1 = make_table([1, 0, 1, 0], [1, 0, 0, 0], [0] * 4, [0] * 4, 100.0)
         t2 = make_table([0, 1, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4, 200.0)
-        est = A.g2_auto_estimate({100.0: t1, 200.0: t2}, "WRITE")
+        est = A.g2_auto_estimate(t1.pattern_counts() + t2.pattern_counts(),
+                                 t1.trials + t2.trials, "WRITE")
         assert est.counts["T"] == 8
         assert est.counts["N_coinc"] == 2
 
     def test_auto_read_uses_single_setting(self):
         t1 = make_table([0] * 4, [0] * 4, [1, 1, 0, 0], [1, 0, 0, 0], 100.0)
         t2 = make_table([0] * 4, [0] * 4, [1, 1, 1, 1], [1, 1, 1, 1], 200.0)
-        est = A.g2_auto_estimate({100.0: t1, 200.0: t2}, "READ", 100.0)
+        est = A.g2_auto_estimate(t1.pattern_counts(), t1.trials, "READ")
         assert est.counts["T"] == 4
         assert est.counts["N_coinc"] == 1
 
@@ -375,12 +376,13 @@ def test_record_level_counts_match_dense_oracle(fast_config):
                                for dn in range(1, 11)),
                 "pairs": sum(n - dn for dn in range(1, 11)), **singles, "T": n,
                 "delta_n": list(range(1, 11))}
-            read = A.g2_auto_estimate(tables, "READ", dt).counts
+            read = A.g2_auto_estimate(table.pattern_counts(), table.trials, "READ").counts
             assert (read["N_coinc"], read["N_1"], read["N_2"], read["T"]) == (
                 int((r1 & r2).sum()), int(r1.sum()), int(r2.sum()), len(r1))
             auto_write += [int((w1 & w2).sum()), int(w1.sum()), int(w2.sum()),
                            len(w1)]
-        write = A.g2_auto_estimate(tables, "WRITE").counts
+        write = A.g2_auto_estimate(sum(t.pattern_counts() for t in tables.values()),
+                                   sum(t.trials for t in tables.values()), "WRITE").counts
         assert ([write[key] for key in ("N_coinc", "N_1", "N_2", "T")]
                 == auto_write.tolist())
         assert write["N_coinc"] > 0 and min(
@@ -552,7 +554,7 @@ def auto_estimate_from_counts(n_coinc, n1, n2, t, window="WRITE"):
     x1[:n1] = True
     x2[n1 - n_coinc: n1 - n_coinc + n2] = True
     table = make_table(x1, x2, x1, x2)
-    return A.g2_auto_estimate({100.0: table}, window, 100.0)
+    return A.g2_auto_estimate(table.pattern_counts(), table.trials, window)
 
 
 def binomial_loglik(n, t, p):
@@ -589,9 +591,15 @@ def bound_oracle(write, read):
 
 
 def with_counts(*sides):
-    return [A.CorrelationEstimate(0.0, 0.0, 0.0,
-                                  {"N_coinc": c, "N_1": n1, "N_2": n2, "T": t})
-            for c, n1, n2, t in sides]
+    """The WRITE and READ autocorrelations of counts (N_coinc, N_1, N_2, T),
+    each from the count row of its window: coincidences, each detector's
+    other clicks and the silent trials."""
+    terms = []
+    for (c, n1, n2, t), (window, x1, x2) in zip(sides, (("WRITE", 8, 4), ("READ", 2, 1))):
+        row = np.zeros(16, dtype=np.int64)  # x1 and x2: the window's pattern bits
+        row[[x1 | x2, x1, x2, 0]] = c, n1 - c, n2 - c, t - n1 - n2 + c
+        terms.append(A.auto_term(row, t, window))
+    return [A.CorrelationEstimate(0.0, 0.0, 0.0, term.counts, term.scale) for term in terms]
 
 
 @contextlib.contextmanager

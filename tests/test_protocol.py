@@ -59,9 +59,10 @@ class TestOutcomeTable:
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_implied_statistics_in_expected_regime(self, table):
-        assert table.g2_cross_implied() > table.classical_bound_implied()
-        assert 1.0 < table.g2_auto_write_implied() < 2.1
-        assert 1.0 < table.g2_auto_read_implied() < 2.1
+        g2_om, g2_ww, g2_rr = protocol.pattern_g2(table.probs)[0]
+        assert g2_om > np.sqrt(g2_ww * g2_rr)
+        assert 1.0 < g2_ww < 2.1
+        assert 1.0 < g2_rr < 2.1
 
     def test_unnormalized_table_rejected(self, table):
         with pytest.raises(ValueError, match="sums to"):
@@ -72,10 +73,10 @@ class TestOutcomeTable:
         probs = np.zeros(16)
         probs[0] = 1.0
         silent = protocol.OutcomeTable(100.0, probs)
-        for implied in (silent.g2_cross_implied, silent.g2_auto_write_implied,
-                        silent.classical_bound_implied):
+        # g2_om, g2_WW and the bound, which needs g2_WW and g2_RR
+        for names in (("g2_om",), ("g2_WW",), ("g2_WW", "g2_RR")):
             with pytest.raises(analysis.EstimatorError, match="zero single"):
-                implied()
+                protocol.pattern_g2(silent.probs, names=names)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_table_rejected(self, table, bad):

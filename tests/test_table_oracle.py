@@ -73,10 +73,11 @@ def test_closed_form_matches_fock_oracle(request, config_name, delta_t_ns):
     got = protocol.build_outcome_table(cfg, delta_t_ns)
     want = fock_outcome_table(cfg, delta_t_ns, n_max)
     np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=PATTERN_ABS_TOL)
-    for name in ("g2_cross_implied", "g2_auto_write_implied",
-                 "g2_auto_read_implied", "classical_bound_implied"):
-        assert getattr(got, name)() == pytest.approx(
-            getattr(want, name)(), rel=IMPLIED_REL_TOL), name
+    # g2_om, g2_WW, g2_RR and the bound sqrt(g2_WW * g2_RR) of each table
+    got_g2, want_g2 = (np.append(g, np.sqrt(g[1] * g[2])) for g in (
+        protocol.pattern_g2(t.probs)[0] for t in (got, want)))
+    for name, g, w in zip(("g2_om", "g2_WW", "g2_RR", "bound"), got_g2, want_g2):
+        assert g == pytest.approx(w, rel=IMPLIED_REL_TOL), name
 
 
 def test_thermometry_probs_match_fock_oracle(default_config):
