@@ -4,11 +4,11 @@ bound, sideband thermometry and exponential fits.
 
 A dn = 0 g2 is ``protocol.pattern_g2`` of a table's 16 pattern counts, the
 rule that gives the model's g2 from its probabilities; the lag sweep counts
-dn >= 1. ``solve`` turns any number of ``Term``s into estimates with one
-interval solve: Beta quantiles, elementwise over arrays, by a safeguarded
-Newton solve on the regularized incomplete beta function of DiDonato &
-Morris (ACM TOMS 18, 360 (1992)), in numpy alone (importing scipy would
-cost more than most stages' work). Exponential fits use variable
+dn >= 1. ``solve`` turns ``Term``s, each of one count row or an array of
+them, into estimates with one interval solve: Beta quantiles, elementwise,
+by a safeguarded Newton solve on the regularized incomplete beta function
+of DiDonato & Morris (ACM TOMS 18, 360 (1992)), in numpy alone (importing
+scipy costs more than most stages' work). Exponential fits use variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
 golden-section search, which the heating calibration shares.
 
@@ -201,7 +201,7 @@ class CorrelationEstimate:
     scale: float | None = None  # of a g2: value = N_coinc / pairs * scale
 
     def __post_init__(self):
-        if self.value < 0 or self.sigma_minus > self.value + 1e-12:
+        if np.any((self.value < 0) | (self.sigma_minus > self.value + 1e-12)):
             raise ValueError("interval extends below zero")
 
     @property
@@ -263,8 +263,7 @@ class TrialTable:
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
              read_window_ns=None) -> dict[float, TrialTable]:
-    """Assign every record to its setting and trial, setting its slot's bit
-    in the trial's click pattern.
+    """Assign every record to its setting and trial, setting its slot's bit in its pattern.
 
     ``read_window_ns`` trims the read evaluation window post hoc (e.g. 55 ns
     -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed
@@ -312,7 +311,7 @@ def tabulate(stream: tags.TagStream, config: ExperimentConfig,
             for dt, lo, hi in zip(settings, bounds, bounds[1:])}
 
 
-# an estimate before its interval solve: g = counts["N_coinc"] / pairs * scale
+# an estimate before its interval solve, g = N_coinc / pairs * scale, per count row
 Term = namedtuple("Term", "pairs scale counts")
 
 
@@ -324,11 +323,13 @@ def solve(nest):
                 else f(x) if isinstance(x, Term) else x)
     terms = {}
     each(nest, lambda term: terms.setdefault(id(term), term))
-    intervals = (v.tolist() for v in binomial_ci(
-        np.array([t.counts["N_coinc"] for t in terms.values()]),
-        np.array([t.pairs for t in terms.values()])))
-    done = {key: CorrelationEstimate(*(v * t.scale for v in interval), t.counts, t.scale)
-            for key, t, *interval in zip(terms, terms.values(), *intervals)}
+    # each Term's coincidences, trial pairs and scales, then all of them flat
+    parts = [np.broadcast_arrays(t.counts["N_coinc"], t.pairs, t.scale) for t in terms.values()]
+    coinc, pairs, scale = (np.concatenate([[], *(p[i].ravel() for p in parts)]) for i in range(3))
+    intervals = (np.split(v * scale, np.cumsum([p[0].size for p in parts])[:-1])
+                 for v in binomial_ci(coinc, pairs))
+    done = {key: CorrelationEstimate(*(v.reshape(p[0].shape)[()] for v in iv), t.counts, t.scale)
+            for key, t, p, *iv in zip(terms, terms.values(), parts, *intervals)}
     return each(nest, lambda term: done[id(term)])
 
 
@@ -337,31 +338,30 @@ def auto_term(row, trials: int, window: str) -> Term:
     N_X1X2 over N_X1 and N_X2. WRITE pools every setting's row (the mechanics
     are reinitialized before each write), READ takes one setting's."""
     name = f"g2_{window[0] * 2}"
-    coinc, n1, n2 = (int(row[MASKS[event]].sum()) for event in G2_EVENTS[name])
-    return Term(trials, float(pattern_g2(row, trials, (name,))[1][0]),
+    coinc, n1, n2 = (row[..., MASKS[event]].sum(-1).tolist() for event in G2_EVENTS[name])
+    return Term(trials, pattern_g2(row, trials, (name,))[1][..., 0].tolist(),
                 {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": trials, "window": window})
 
 
-def cross_terms(table: TrialTable, row, delta_n_max: int) -> dict:
-    """Write at trial n, read at n + dn: g2_om at dn = 0 from the count row's
-    N_WR, N_W and N_R, and for delta_n_max > 0 each dn = 1..delta_n_max
-    ("delta_n") and their pool ("delta_n_pooled") from one lag sweep."""
-    t, scale = table.trials, float(pattern_g2(row, table.trials, ("g2_om",))[1][0])
-    n_wr, n_w, n_r = (int(row[MASKS[event]].sum()) for event in G2_EVENTS["g2_om"])
+def cross_terms(row, trials: int, swept=()) -> dict:
+    """The write at trial n against the read at n + dn: g2_om from a count row's N_WR,
+    N_W and N_R, and "delta_n" and "delta_n_pooled" from a lag sweep's dn = 1..N counts."""
+    scale = pattern_g2(row, trials, ("g2_om",))[1][..., 0].tolist()
+    n_wr, n_w, n_r = (row[..., MASKS[event]].sum(-1).tolist() for event in G2_EVENTS["g2_om"])
 
     def term(dn, coinc, pairs):
         return Term(pairs, scale, {"N_coinc": coinc, "pairs": pairs, "N_W": n_w,
-                                   "N_R": n_r, "T": t, "delta_n": dn})
-    if not delta_n_max:
-        return {"g2_om": term(0, n_wr, t)}
-    swept, pooled = table.cross_coincidences(delta_n_max)[1:].tolist(), range(1, delta_n_max + 1)
-    return {"g2_om": term(0, n_wr, t),
-            "delta_n": {dn: term(dn, k, t - dn) for dn, k in zip(pooled, swept)},
-            "delta_n_pooled": term(list(pooled), sum(swept), t * delta_n_max - sum(pooled))}
+                                   "N_R": n_r, "T": trials, "delta_n": dn})
+    cross, pooled = {"g2_om": term(0, n_wr, trials)}, range(1, len(swept) + 1)
+    if swept:
+        cross["delta_n"] = {dn: term(dn, k, trials - dn) for dn, k in zip(pooled, swept)}
+        cross["delta_n_pooled"] = term(list(pooled), sum(swept), trials * len(swept) - sum(pooled))
+    return cross
 
 
 def g2_cross_estimate(table: TrialTable, delta_n_max: int = 0) -> dict:
-    return solve(cross_terms(table, table.pattern_counts(), delta_n_max))
+    return solve(cross_terms(table.pattern_counts(), table.trials,
+                             table.cross_coincidences(delta_n_max)[1:].tolist()))
 
 
 def g2_auto_estimate(row, trials: int, window: str) -> CorrelationEstimate:

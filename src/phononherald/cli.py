@@ -122,8 +122,8 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     entries = {}
     for delta_t, table in trial_tables.items():
         entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": table.counters()}
-        _estimate(entry, "cross", analysis.cross_terms, table, rows[delta_t],
-                  0 if far else delta_n_max)
+        swept = table.cross_coincidences(0 if far else delta_n_max)[1:].tolist()
+        _estimate(entry, "cross", analysis.cross_terms, rows[delta_t], trials, swept)
         entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error
             entry.setdefault(key, value)

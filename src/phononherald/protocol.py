@@ -15,6 +15,8 @@ counter-based deterministic hash then decides silent or click against
 P(no click) (``rng.clicked``, an integer compare); only the ~1e-3 of trials
 that click get a float uniform, pick their pattern from the table and draw
 click times, which makes 1e7+ trials cheap and embarrassingly parallel.
+``pattern_g2`` turns 16-pattern probabilities, or a stream's pattern
+counts, into g2_om, g2_WW and g2_RR: one rule for the model and the data.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ def pattern_g2(counts, total=1.0, names=tuple(G2_EVENTS)):
     the model tables. Also returns 1 / (P(one) P(two)), the factor that turns
     P(both), or an interval of it, into g2. A zero single is an error."""
     counts = np.asarray(counts)
-    both, one, two = (np.stack([counts[..., MASKS[G2_EVENTS[name][i]]].sum(-1)
-                                for name in names], -1) for i in range(3))
+    sums = np.stack([counts[..., MASKS[event]].sum(-1)
+                     for name in names for event in G2_EVENTS[name]], -1)
+    both, one, two = sums[..., 0::3], sums[..., 1::3], sums[..., 2::3]
     singles = (one / total) * (two / total)
     if not singles.all():  # a zero single, or a product below the float range
         raise EstimatorError("zero single-event probability")
