@@ -198,7 +198,6 @@ class CorrelationEstimate:
     sigma_minus: float
     sigma_plus: float
     counts: dict = field(default_factory=dict)
-    scale: float | None = None  # of a g2: value = N_coinc / pairs * scale
 
     def __post_init__(self):
         if np.any((self.value < 0) | (self.sigma_minus > self.value + 1e-12)):
@@ -328,12 +327,12 @@ def solve(nest):
     coinc, pairs, scale = (np.concatenate([[], *(p[i].ravel() for p in parts)]) for i in range(3))
     intervals = (np.split(v * scale, np.cumsum([p[0].size for p in parts])[:-1])
                  for v in binomial_ci(coinc, pairs))
-    done = {key: CorrelationEstimate(*(v.reshape(p[0].shape)[()] for v in iv), t.counts, t.scale)
+    done = {key: CorrelationEstimate(*(v.reshape(p[0].shape)[()] for v in iv), t.counts)
             for key, t, p, *iv in zip(terms, terms.values(), parts, *intervals)}
     return each(nest, lambda term: done[id(term)])
 
 
-def auto_term(row, trials: int, window: str) -> Term:
+def g2_auto_estimate(row, trials: int, window: str) -> Term:
     """HBT autocorrelation in window X (W of WRITE, R of READ) of a count row:
     N_X1X2 over N_X1 and N_X2. WRITE pools every setting's row (the mechanics
     are reinitialized before each write), READ takes one setting's."""
@@ -343,7 +342,7 @@ def auto_term(row, trials: int, window: str) -> Term:
                 {"N_coinc": coinc, "N_1": n1, "N_2": n2, "T": trials, "window": window})
 
 
-def cross_terms(row, trials: int, swept=()) -> dict:
+def g2_cross_estimate(row, trials: int, swept=()) -> dict:
     """The write at trial n against the read at n + dn: g2_om from a count row's N_WR,
     N_W and N_R, and "delta_n" and "delta_n_pooled" from a lag sweep's dn = 1..N counts."""
     scale = pattern_g2(row, trials, ("g2_om",))[1][..., 0].tolist()
@@ -357,15 +356,6 @@ def cross_terms(row, trials: int, swept=()) -> dict:
         cross["delta_n"] = {dn: term(dn, k, trials - dn) for dn, k in zip(pooled, swept)}
         cross["delta_n_pooled"] = term(list(pooled), sum(swept), trials * len(swept) - sum(pooled))
     return cross
-
-
-def g2_cross_estimate(table: TrialTable, delta_n_max: int = 0) -> dict:
-    return solve(cross_terms(table.pattern_counts(), table.trials,
-                             table.cross_coincidences(delta_n_max)[1:].tolist()))
-
-
-def g2_auto_estimate(row, trials: int, window: str) -> CorrelationEstimate:
-    return solve(auto_term(row, trials, window))
 
 
 def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:
@@ -390,17 +380,17 @@ def _likelihood_edge(deficit, inside: float, outside: float) -> float:
     return inside
 
 
-def classical_bound(auto_write: CorrelationEstimate,
-                    auto_read: CorrelationEstimate) -> CorrelationEstimate:
-    """Profile likelihood of b = sqrt(g_WW * g_RR) (Rolke, Lopez & Conrad,
-    NIM A 551, 493 (2005)). With g = p * scale, a fixed b fixes p_W * p_R; the
-    joint log-likelihood is concave in ln p_W along it, so its maximum is a
-    root of the quadratic of its stationarity condition, and the profile is
-    concave in ln b. The value is the bound of the maximum-likelihood g's:
-    0, with the one-sided interval [0, upper], when a side has no coincidence."""
+def classical_bound(auto_write: Term, auto_read: Term) -> CorrelationEstimate:
+    """Profile likelihood of b = sqrt(g_WW * g_RR) of the autocorrelations'
+    Terms (Rolke, Lopez & Conrad, NIM A 551, 493 (2005)). With g = p * scale,
+    a fixed b fixes p_W * p_R; the joint log-likelihood is concave in ln p_W
+    along it, so its maximum is a root of the quadratic of its stationarity
+    condition, and the profile is concave in ln b. The value is the bound of
+    the maximum-likelihood g's: 0, with the one-sided interval [0, upper],
+    when a side has no coincidence."""
     counts = {"write": dict(auto_write.counts), "read": dict(auto_read.counts)}
-    (n_w, t_w, s_w), (n_r, t_r, s_r) = ((est.counts["N_coinc"], est.counts["T"], est.scale)
-                                        for est in (auto_write, auto_read))
+    (n_w, t_w, s_w), (n_r, t_r, s_r) = ((t.counts["N_coinc"], t.counts["T"], t.scale)
+                                        for t in (auto_write, auto_read))
     if n_w == 0 and n_r == 0:
         raise DegenerateCountsError(
             "both autocorrelations have zero coincidences; bound undefined")

@@ -117,22 +117,22 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     trials = cfg.protocol.trials
     far = delta_n_max >= trials  # no offset >= T leaves a trial pair
     write = {}  # the WRITE autocorrelation pools every setting: estimated once
-    _estimate(write, "g2_auto_write", analysis.auto_term, sum(rows.values()),
+    _estimate(write, "g2_auto_write", analysis.g2_auto_estimate, sum(rows.values()),
               trials * len(rows), "WRITE")
     entries = {}
     for delta_t, table in trial_tables.items():
         entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": table.counters()}
         swept = table.cross_coincidences(0 if far else delta_n_max)[1:].tolist()
-        _estimate(entry, "cross", analysis.cross_terms, rows[delta_t], trials, swept)
+        _estimate(entry, "cross", analysis.g2_cross_estimate, rows[delta_t], trials, swept)
         entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error
             entry.setdefault(key, value)
-        _estimate(entry, "g2_auto_read", analysis.auto_term, rows[delta_t], trials, "READ")
-    entries = list(analysis.solve(entries).values())
-    for entry in entries:
+        _estimate(entry, "g2_auto_read", analysis.g2_auto_estimate, rows[delta_t], trials, "READ")
         if "g2_auto_write" in entry and "g2_auto_read" in entry:
             _estimate(entry, "classical_bound", analysis.classical_bound,
                       entry["g2_auto_write"], entry["g2_auto_read"])
+    entries = list(analysis.solve(entries).values())
+    for entry in entries:
         if "g2_om" in entry and "classical_bound" in entry:
             entry["cauchy_schwarz"] = analysis.cauchy_schwarz_test(
                 entry["g2_om"], entry["classical_bound"])

@@ -113,7 +113,8 @@ def test_criterion_4_headline_correlation():
     table = protocol.build_outcome_table(cfg, 100.0)
     stream = protocol.sample_trials(cfg, [table], threads=4)
     tt = A.tabulate(stream, cfg)[100.0]
-    cross_all = A.g2_cross_estimate(tt, 10)
+    cross_all = A.solve(A.g2_cross_estimate(tt.pattern_counts(), tt.trials,
+                                            tt.cross_coincidences(10)[1:].tolist()))
     cross = cross_all["g2_om"]
     auto_w = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "WRITE")
     auto_r = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "READ")
@@ -228,11 +229,11 @@ def test_criterion_8_statistics_engine():
             aw = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "WRITE")
             c = dict(aw.counts)
             c["N_coinc"] = c1
-            aw = A.CorrelationEstimate(aw.value, aw.sigma_minus, aw.sigma_plus, c, aw.scale)
+            aw = aw._replace(counts=c)
             ar = A.g2_auto_estimate(tt.pattern_counts(), tt.trials, "READ")
             cr = dict(ar.counts)
             cr["N_coinc"] = c2
-            ar = A.CorrelationEstimate(ar.value, ar.sigma_minus, ar.sigma_plus, cr, ar.scale)
+            ar = ar._replace(counts=cr)
             bound = A.classical_bound(aw, ar)
             g1 = c1 / c["T"] / ((c["N_1"] / c["T"]) * (c["N_2"] / c["T"]))
             g2 = c2 / cr["T"] / ((cr["N_1"] / cr["T"]) * (cr["N_2"] / cr["T"]))

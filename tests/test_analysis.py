@@ -144,6 +144,12 @@ def make_table(w1, w2, r1, r2, delta_t=100.0):
     return A.TrialTable(delta_t, len(w1), clicked, patterns[clicked])
 
 
+def cross_estimate(table, delta_n_max=0):
+    """The solved ``g2_cross_estimate`` of a table's count row and lag sweep."""
+    return A.solve(A.g2_cross_estimate(table.pattern_counts(), table.trials,
+                                       table.cross_coincidences(delta_n_max)[1:].tolist()))
+
+
 def with_trials(config, trials):
     return config.replace(protocol=dataclasses.replace(config.protocol, trials=trials))
 
@@ -267,7 +273,7 @@ class TestCorrelationEstimators:
             w2=[0] * 10,
             r1=[1, 0, 1, 0, 0, 0, 0, 1, 0, 0],
             r2=[0] * 10)
-        est = A.g2_cross_estimate(table)["g2_om"]
+        est = cross_estimate(table)["g2_om"]
         assert est.value == pytest.approx(5.0 / 3.0, abs=1e-12)
         assert est.counts["N_coinc"] == 2
         assert est.sigma_plus > est.sigma_minus > 0
@@ -275,7 +281,7 @@ class TestCorrelationEstimators:
     def test_cross_offset_uses_shifted_pairs(self):
         table = make_table(w1=[1, 0, 0, 0], w2=[0] * 4,
                            r1=[0, 1, 0, 0], r2=[0] * 4)
-        cross = A.g2_cross_estimate(table, 1)
+        cross = cross_estimate(table, 1)
         assert cross["g2_om"].counts["N_coinc"] == 0
         shifted = cross["delta_n"][1]
         assert shifted.counts["N_coinc"] == 1
@@ -286,7 +292,7 @@ class TestCorrelationEstimators:
         w = rng.random(500) < 0.2
         r = rng.random(500) < 0.2
         table = make_table(w, np.zeros(500), r, np.zeros(500))
-        cross = A.g2_cross_estimate(table, 3)
+        cross = cross_estimate(table, 3)
         pooled = cross["delta_n_pooled"]
         total = sum(cross["delta_n"][d].counts["N_coinc"] for d in (1, 2, 3))
         assert pooled.counts["N_coinc"] == total
@@ -310,7 +316,7 @@ class TestCorrelationEstimators:
     def test_zero_singles_undefined(self):
         table = make_table([0, 0], [0, 0], [1, 0], [0, 0])
         with pytest.raises(A.EstimatorError, match="zero single"):
-            A.g2_cross_estimate(table)
+            cross_estimate(table)
 
     def test_count_rows_together_are_each_row_alone(self, default_config):
         # multinomial draws of the 100 ns table's 16 pattern counts at 1e8
@@ -321,9 +327,9 @@ class TestCorrelationEstimators:
         rows = np.random.default_rng(4).multinomial(trials, probs, size=50)
 
         def terms(counts):
-            return {"g2_om": A.cross_terms(counts, trials)["g2_om"],
-                    "g2_WW": A.auto_term(counts, trials, "WRITE"),
-                    "g2_RR": A.auto_term(counts, trials, "READ")}
+            return {"g2_om": A.g2_cross_estimate(counts, trials)["g2_om"],
+                    "g2_WW": A.g2_auto_estimate(counts, trials, "WRITE"),
+                    "g2_RR": A.g2_auto_estimate(counts, trials, "READ")}
         together = A.solve(terms(rows))
         for i, row in enumerate(rows):
             for name, alone in A.solve(terms(row)).items():
@@ -359,7 +365,7 @@ def dense_offset_coincidences(w, r, dn):
 
 def cross_counts(table, delta_n_max):
     """N_coinc of each offset 0..delta_n_max, from g2_cross_estimate."""
-    cross = A.g2_cross_estimate(table, delta_n_max)
+    cross = cross_estimate(table, delta_n_max)
     return [e.counts["N_coinc"] for e in (cross["g2_om"], *cross.get("delta_n", {}).values())]
 
 
@@ -385,7 +391,7 @@ def test_record_level_counts_match_dense_oracle(fast_config):
             }
             n = cfg.protocol.trials
             singles = {"N_W": int(w.sum()), "N_R": int(r.sum())}
-            cross = A.g2_cross_estimate(table, 10)
+            cross = cross_estimate(table, 10)
             for dn, est in enumerate((cross["g2_om"], *cross["delta_n"].values())):
                 assert est.counts == {
                     "N_coinc": dense_offset_coincidences(w, r, dn),
@@ -487,7 +493,7 @@ class TestLagSweep:
         monkeypatch.undo()
         tables = A.tabulate(stream, cfg)
         for entry in entries:
-            cross = A.g2_cross_estimate(tables[entry["delta_t_ns"]], n)
+            cross = cross_estimate(tables[entry["delta_t_ns"]], n)
             assert list(cross["delta_n"]) == list(range(1, n + 1))
             for key in ("g2_om", "delta_n", "delta_n_pooled"):
                 assert entry[key] == cross[key]
@@ -508,7 +514,7 @@ class TestLagSweep:
             flags[first][0] = flags[last][t - 1] = True
             edge = make_table(flags["w"], np.zeros(t), flags["r"], np.zeros(t))
             assert edge.cross_coincidences(t - 2).tolist() == [0] * (t - 1)
-            cross = A.g2_cross_estimate(edge, t - 1)
+            cross = cross_estimate(edge, t - 1)
             assert cross["delta_n"][t - 1].counts["N_coinc"] == found
             assert cross["delta_n_pooled"].counts["N_coinc"] == found
 
@@ -545,19 +551,19 @@ class TestLagSweep:
         assert empty.cross_coincidences(t - 1).tolist() == [0] * t
         for n in (0, 3, t - 1):
             with pytest.raises(A.EstimatorError, match="zero single"):
-                A.g2_cross_estimate(empty, n)
+                cross_estimate(empty, n)
         single = np.zeros((4, t))
         single[[0, 2], 17] = 1  # W1 and R1 of trial 17
         table = make_table(*single)
         for n in (t - 1, 0, 1, 20):
             assert cross_counts(table, n) == [1] + [0] * n
-        assert A.g2_cross_estimate(table)["g2_om"].value == pytest.approx(t)
+        assert cross_estimate(table)["g2_om"].value == pytest.approx(t)
 
     def test_pooled_sums_the_offsets_one_to_n(self):
         t = 300
         table, w, r = random_table(t, 0.1, 7)
         for n in (5, 1, 12, t - 1):
-            cross = A.g2_cross_estimate(table, n)
+            cross = cross_estimate(table, n)
             pooled = cross["delta_n_pooled"].counts
             assert pooled["N_coinc"] == sum(
                 dense_offset_coincidences(w, r, dn) for dn in range(1, n + 1))
@@ -633,8 +639,8 @@ def with_counts(*sides):
     for (c, n1, n2, t), (window, x1, x2) in zip(sides, (("WRITE", 8, 4), ("READ", 2, 1))):
         row = np.zeros(16, dtype=np.int64)  # x1 and x2: the window's pattern bits
         row[[x1 | x2, x1, x2, 0]] = c, n1 - c, n2 - c, t - n1 - n2 + c
-        terms.append(A.auto_term(row, t, window))
-    return [A.CorrelationEstimate(0.0, 0.0, 0.0, term.counts, term.scale) for term in terms]
+        terms.append(A.g2_auto_estimate(row, t, window))
+    return terms
 
 
 @contextlib.contextmanager
@@ -683,7 +689,7 @@ class TestClassicalBound:
         aw = auto_estimate_from_counts(3, 40, 50, 10_000)
         ar = auto_estimate_from_counts(1, 20, 30, 10_000, "READ")
         bound = A.classical_bound(aw, ar)
-        assert bound.value <= np.sqrt(aw.value * ar.value) + 1e-9
+        assert bound.value <= np.sqrt(A.solve(aw).value * A.solve(ar).value) + 1e-9
         assert bound.sigma_minus > 0 and bound.sigma_plus > 0
 
     def test_zero_coincidence_side_allowed(self):
@@ -735,7 +741,7 @@ class TestClassicalBound:
         aw = auto_estimate_from_counts(min(c1, n1), n1, n1 + 10, t)
         ar = auto_estimate_from_counts(min(c2, n2), n2, n2 + 10, t, "READ")
         bound = A.classical_bound(aw, ar)
-        assert bound.value <= np.sqrt(aw.value * ar.value) * (1.0 + 1e-6)
+        assert bound.value <= np.sqrt(A.solve(aw).value * A.solve(ar).value) * (1.0 + 1e-6)
 
 
 class TestCauchySchwarz:
