@@ -2,13 +2,18 @@
 binomial-likelihood confidence intervals, the Cauchy-Schwarz classical
 bound, sideband thermometry and exponential fits.
 
-A dn = 0 g2 is ``protocol.pattern_g2`` of a table's 16 pattern counts, the
-rule that gives the model's g2 from its probabilities; the lag sweep counts
-dn >= 1. ``solve`` turns ``Term``s, each of one count row or an array of
-them, into estimates with one interval solve: Beta quantiles, elementwise,
-by a safeguarded Newton solve on the regularized incomplete beta function
-of DiDonato & Morris (ACM TOMS 18, 360 (1992)), in numpy alone (importing
-scipy costs more than most stages' work). Exponential fits use variable
+A dn = 0 g2 is ``protocol.pattern_g2`` of a table's 16 pattern counts, as
+the model's g2 are of its probabilities; the lag sweep counts dn >= 1.
+``solve`` turns ``Term``s, of one count row or an array of them, into estimates.
+
+The numerics are numpy and the standard library only: importing scipy
+would cost more than most stages' work. Beta quantiles come from a
+safeguarded Newton solve on the regularized incomplete beta function,
+evaluated as in DiDonato & Morris (ACM TOMS 18, 360 (1992)): their
+continued fraction by the modified Lentz method, times a power term built
+from Stirling-series differences. The solve runs elementwise over arrays,
+so one call gives every interval of a stream; each element leaves the
+active set once it has converged. Exponential fits use variable
 projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
 golden-section search, which the heating calibration shares.
 
@@ -262,13 +267,15 @@ class TrialTable:
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
              read_window_ns=None) -> dict[float, TrialTable]:
-    """Assign every record to its setting and trial, setting its slot's bit in its pattern.
+    """Assign every record to its setting and trial, setting its slot's bit
+    in the trial's click pattern.
 
-    ``read_window_ns`` trims the read evaluation window post hoc (e.g. 55 ns
-    -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed
-    but inside the configured window are dropped silently. Records outside
+    ``read_window_ns`` trims the read evaluation window post hoc (e.g.
+    55 ns -> 30 ns, at least 1 ps) without resimulating; records beyond the trimmed but
+    inside the configured window are dropped silently. Records outside
     their labelled window are format errors. The tables depend neither on
-    the record order nor on repeated records."""
+    the record order nor on repeated records.
+    """
     trials, settings = config.protocol.trials, config.protocol.delta_t_list_ns
     if stream.trial_count != trials * len(settings):
         raise tags.TagFormatError(f"stream holds {stream.trial_count} trials, "
@@ -514,8 +521,10 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     Variable projection: at fixed tau, A and c solve a linear least
     squares, so only tau is searched, on a grid in log tau over
     FIT_TAU_BOUNDS and then by golden section between the grid neighbours
-    of the best point. A best tau on a bound is a FitError."""
-    t, y = (np.asarray(v, dtype=float) for v in (t, y))
+    of the best point. A best tau on a bound is a FitError.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
     if t.size < 4 or t.size != y.size:
         raise ValueError("need at least 4 (t, y) points")
     if np.any(np.diff(t) <= 0):
@@ -531,7 +540,8 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     grid = np.linspace(*np.log(FIT_TAU_BOUNDS), FIT_SCAN_POINTS)
     best = int(np.argmin([ssr(x) for x in grid]))
     if not 0 < best < grid.size - 1:
-        raise FitError(f"exponential fit: best time constant at a bound of {FIT_TAU_BOUNDS}")
+        raise FitError(f"exponential fit: best time constant at a bound of "
+                       f"{FIT_TAU_BOUNDS}")
     log_tau = _golden_section(ssr, grid[best - 1], grid[best + 1], 1e-10)
     a, c, rss = _projected_fit(t, y, log_tau)
     amplitude, offset = (a, c - a) if model == "decay" else (-a, c)

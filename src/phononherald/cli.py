@@ -55,7 +55,8 @@ def _load_config(args) -> config_mod.ExperimentConfig:
     if getattr(args, "trials", None) is not None:
         proto = dataclasses.replace(proto, trials=args.trials)
     if getattr(args, "delta_t_ns", None):
-        proto = dataclasses.replace(proto, delta_t_list_ns=tuple(args.delta_t_ns))
+        proto = dataclasses.replace(
+            proto, delta_t_list_ns=tuple(args.delta_t_ns))
     seed = getattr(args, "seed", None)
     return cfg.replace(protocol=proto, seed=cfg.seed if seed is None else seed)
 
@@ -94,7 +95,8 @@ def _json(obj) -> str:
 
 
 def cmd_simulate(cfg, args):
-    tables = [protocol.build_outcome_table(cfg, dt) for dt in cfg.protocol.delta_t_list_ns]
+    tables = [protocol.build_outcome_table(cfg, dt)
+              for dt in cfg.protocol.delta_t_list_ns]
     stream = protocol.sample_trials(cfg, tables, threads=args.threads or 1)
     log.info("sampled %d records in %d trials", len(stream), stream.trial_count)
     return {Path(args.out): lambda path: tags.write_tagstream(stream, path)}, EXIT_OK
@@ -109,8 +111,7 @@ def _estimate(entry, key, fn, *args):
 
 
 def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
-    """Each setting's counters and every estimate that its count row and lag
-    sweep define, delta_n, delta_n_pooled and error last: one interval solve."""
+    """Each setting's counters and every estimate its counts define, from one interval solve."""
     from . import analysis
     trial_tables = analysis.tabulate(stream, cfg, read_window_ns=read_window_ns)
     rows = {dt: table.pattern_counts() for dt, table in trial_tables.items()}
@@ -241,12 +242,11 @@ def _reproduce_fig3b(cfg, args):
 
 
 def _reproduce_fig3c(cfg, args):
-    rows = []
-    for dt in FIG3C_DELAYS:
-        g_om, g_ww, g_rr = protocol.pattern_g2(protocol.build_outcome_table(cfg, dt).probs)[0]
-        rows.append([dt, float(g_om), float(np.sqrt(g_ww * g_rr))])
+    rows = [[dt, *protocol.pattern_g2(protocol.build_outcome_table(cfg, dt).probs)[0].tolist()]
+            for dt in FIG3C_DELAYS]  # delta_t_ns, g2_om, g2_WW, g2_RR
     return {"fig3c_correlation_decay.csv": _csv(
-        ["delta_t_ns", "g2_om_model", "bound_model"], rows)}
+        ["delta_t_ns", "g2_om_model", "bound_model"],
+        [[dt, g_om, float(np.sqrt(g_ww * g_rr))] for dt, g_om, g_ww, g_rr in rows])}
 
 
 def _reproduce_m3(cfg, args):
