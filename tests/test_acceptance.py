@@ -32,10 +32,10 @@ def overlaps(est, lo, hi):
 
 
 def test_criterion_1_engine_equivalence():
-    # CPU time of this thread, which never exceeds wall time and does not grow
-    # while a loaded host deschedules it; process CPU time would also count
-    # the BLAS worker threads, which spin: 7.8 s against 4.0 s of wall time
-    # on 2 cores
+    # CPU time of this thread, which never exceeds wall time: on 2 cores, one
+    # other busy process stretched wall time 3.7 -> 8.9 s and this 3.7 -> 5.8 s.
+    # Process CPU time would also count the spinning BLAS worker thread: 7.3 s
+    # on an idle host
     t0 = time.thread_time()
     worst = 0.0
     for n_bar in (0.0, 0.025, 0.5):
