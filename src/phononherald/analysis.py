@@ -235,11 +235,10 @@ class TrialTable:
 
     def cross_coincidences(self, delta_n_max: int) -> np.ndarray:
         """W clicks at trial n with an R click at trial n + dn, for each dn in
-        0..delta_n_max: slot 0 holds the trials in both masks, and one sweep
-        adds each W->R gap of 1..delta_n_max to its offset's count."""
-        counts = np.zeros(delta_n_max + 1, dtype=np.int64)
+        1..delta_n_max (slot dn - 1): one sweep adds each W->R gap to its
+        offset's count."""
+        counts = np.zeros(delta_n_max, dtype=np.int64)
         c, (w, r) = self.clicked, (MASKS[name][self.patterns] for name in ("W", "R"))
-        counts[0] = np.count_nonzero(w & r)
         for lo in range(0, c.size, tags.BLOCK_RECORDS):
             for lag in range(1, c.size - lo):  # clicks lag places apart are >= lag trials apart
                 a = slice(lo, min(lo + tags.BLOCK_RECORDS, c.size - lag))
@@ -247,7 +246,7 @@ class TrialTable:
                 gap = c[b] - c[a]
                 if not (near := gap <= delta_n_max).any():
                     break
-                np.add.at(counts, gap[near & w[a] & r[b]], 1)
+                np.add.at(counts, gap[near & w[a] & r[b]] - 1, 1)
         return counts
 
     def pattern_counts(self) -> np.ndarray:

@@ -123,7 +123,7 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
     entries = {}
     for delta_t, table in trial_tables.items():
         entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": table.counters()}
-        swept = table.cross_coincidences(0 if far else delta_n_max)[1:].tolist()
+        swept = table.cross_coincidences(0 if far else delta_n_max).tolist()
         _estimate(entry, "cross", analysis.g2_cross_estimate, rows[delta_t], trials, swept)
         entry.update(entry.pop("cross", {}))
         for key, value in write.items():  # the estimate or its error

@@ -135,22 +135,19 @@ class TwoModeFockState:
 
     def reduced(self, mode: str) -> np.ndarray:
         """Partial trace down to a single-mode density operator."""
-        d = self.dim
-        r = self.rho.reshape(d, d, d, d)
-        if mode == "A":
-            return np.einsum("injn->ij", r)
-        if mode == "B":
-            return np.einsum("nink->ik", r)
-        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+        d, ket = self.dim, _mode_axis(mode)
+        return np.trace(self.rho.reshape(d, d, d, d), axis1=1 - ket, axis2=3 - ket)
 
     def mean_occupation(self, mode: str) -> float:
-        p = self.joint_number_distribution()
-        ns = np.arange(self.dim)
-        if mode == "A":
-            return float(p.sum(axis=1) @ ns)
-        if mode == "B":
-            return float(p.sum(axis=0) @ ns)
+        return _number_moments(self.reduced(mode))[0]
+
+
+def _mode_axis(mode: str) -> int:
+    """Ket axis of mode A (0) or B (1) in rho.reshape(d, d, d, d); its bra
+    axis is two further on."""
+    if mode not in ("A", "B"):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    return "AB".index(mode)
 
 
 def validate_two_mode(rho: np.ndarray, n_max: int, leak_tol: float) -> None:
@@ -192,10 +189,8 @@ def two_mode_squeeze(state: TwoModeFockState, r: float) -> TwoModeFockState:
     if r == 0:
         return state
     a = destroy(state.n_max)
-    eye = np.eye(state.dim)
-    ab = np.kron(a, eye) @ np.kron(eye, a)
-    g = r * (ab.conj().T - ab)
-    return _apply_unitary(state, g)
+    ab = np.kron(a, a)  # a_A a_B
+    return _apply_unitary(state, r * (ab.conj().T - ab))
 
 
 def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockState:
@@ -208,10 +203,8 @@ def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockS
         return state
     theta = np.arcsin(np.sqrt(transmittance))
     a = destroy(state.n_max)
-    eye = np.eye(state.dim)
-    cross = np.kron(a.conj().T, eye) @ np.kron(eye, a)
-    g = theta * (cross - cross.conj().T)
-    return _apply_unitary(state, g)
+    cross = np.kron(a.conj().T, a)  # a_A^dag a_B
+    return _apply_unitary(state, theta * (cross - cross.conj().T))
 
 
 def loss_kraus(eta: float, n_max: int) -> list[np.ndarray]:
@@ -228,54 +221,49 @@ def loss_kraus(eta: float, n_max: int) -> list[np.ndarray]:
 
 
 def attenuate_single(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Loss channel with transmissivity ``eta`` on a single-mode operator."""
+    """Loss channel with transmissivity ``eta`` on the last two axes (one
+    mode's ket and bra) of ``rho``."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if eta == 1.0:
         return rho.copy()
+    d = rho.shape[-1]
     out = np.zeros_like(rho)
-    for k in loss_kraus(eta, rho.shape[0] - 1):
-        out += k @ rho @ k.conj().T
+    for k, kk in enumerate(loss_kraus(eta, d - 1)):
+        # K_k rho K_k^dag moves rho[m + k, m' + k] to [m, m'], weighted by
+        # K_k's k-th superdiagonal at m and at m'
+        w = np.diagonal(kk, k)
+        out[..., :d - k, :d - k] += w[:, None] * rho[..., k:, k:] * w
     return out
 
 
 def attenuate(state: TwoModeFockState, mode: str, eta: float) -> TwoModeFockState:
     """Single-mode loss channel applied to mode A or B of a two-mode state."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    d, ket = state.dim, _mode_axis(mode)
     if eta == 1.0:
         return state
-    eye = np.eye(state.dim)
-    out = np.zeros_like(state.rho)
-    for k in loss_kraus(eta, state.n_max):
-        full = np.kron(k, eye) if mode == "A" else np.kron(eye, k)
-        out += full @ state.rho @ full.conj().T
+    axes = (ket, ket + 2)
+    rho = np.moveaxis(state.rho.reshape(d, d, d, d), axes, (2, 3))
+    out = np.moveaxis(attenuate_single(rho, eta), (2, 3), axes).reshape(d * d, d * d)
     out = 0.5 * (out + out.conj().T)
     return TwoModeFockState(out, state.n_max, state.leak_tol)
 
 
-def _number_moments(p_n: np.ndarray) -> tuple[float, float]:
+def _number_moments(rho: np.ndarray) -> tuple[float, float]:
+    """<n> and <n(n - 1)> of a single-mode density operator."""
+    p_n = np.real(np.diag(rho))
     ns = np.arange(p_n.size)
-    mean = float(p_n @ ns)
-    pair = float(p_n @ (ns * (ns - 1)))
-    return mean, pair
+    return float(p_n @ ns), float(p_n @ (ns * (ns - 1)))
 
 
 def g2_auto(state: TwoModeFockState, mode: str, n_floor: float = N_FLOOR) -> float:
     """<n(n-1)> / <n>^2 evaluated exactly on the truncated state."""
-    p = state.joint_number_distribution()
-    p_n = p.sum(axis=1) if mode == "A" else p.sum(axis=0)
-    mean, pair = _number_moments(p_n)
-    if mean <= n_floor:
-        raise UndefinedCorrelationError(
-            f"mode {mode} mean occupation {mean:.3e} below floor {n_floor:.1e}")
-    return pair / mean ** 2
+    return g2_auto_single(state.reduced(mode), n_floor)
 
 
 def g2_auto_single(rho: np.ndarray, n_floor: float = N_FLOOR) -> float:
     """Autocorrelation of a bare single-mode density operator."""
-    p_n = np.real(np.diag(rho))
-    mean, pair = _number_moments(p_n)
+    mean, pair = _number_moments(rho)
     if mean <= n_floor:
         raise UndefinedCorrelationError(
             f"mean occupation {mean:.3e} below floor {n_floor:.1e}")
@@ -284,15 +272,12 @@ def g2_auto_single(rho: np.ndarray, n_floor: float = N_FLOOR) -> float:
 
 def g2_cross(state: TwoModeFockState, n_floor: float = N_FLOOR) -> float:
     """<n_A n_B> / (<n_A><n_B>) evaluated exactly on the truncated state."""
-    p = state.joint_number_distribution()
-    ns = np.arange(state.dim)
-    mean_a = float(p.sum(axis=1) @ ns)
-    mean_b = float(p.sum(axis=0) @ ns)
+    mean_a, mean_b = state.mean_occupation("A"), state.mean_occupation("B")
     if mean_a <= n_floor or mean_b <= n_floor:
         raise UndefinedCorrelationError(
             f"mean occupations ({mean_a:.3e}, {mean_b:.3e}) below floor {n_floor:.1e}")
-    cross = float(ns @ p @ ns)
-    return cross / (mean_a * mean_b)
+    ns = np.arange(state.dim)
+    return float(ns @ state.joint_number_distribution() @ ns) / (mean_a * mean_b)
 
 
 def add_thermal_noise(rho: np.ndarray, delta_n: float) -> np.ndarray:

@@ -147,7 +147,7 @@ def make_table(w1, w2, r1, r2, delta_t=100.0):
 def cross_estimate(table, delta_n_max=0):
     """The solved ``g2_cross_estimate`` of a table's count row and lag sweep."""
     return A.solve(A.g2_cross_estimate(table.pattern_counts(), table.trials,
-                                       table.cross_coincidences(delta_n_max)[1:].tolist()))
+                                       table.cross_coincidences(delta_n_max).tolist()))
 
 
 def with_trials(config, trials):
@@ -434,7 +434,7 @@ def random_table(trials, p, seed):
 
 
 class TestLagSweep:
-    """Each call counts the offsets 0..N in one lag sweep out to N, and keeps
+    """Each call counts the offsets 1..N in one lag sweep out to N, and keeps
     nothing; the dense per-trial flags are the oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -446,7 +446,7 @@ class TestLagSweep:
         rest = np.random.default_rng(seed).permutation(t)
         for n in [1, 0, 5, 3, 40, 2, 150, 7, *rest.tolist()]:
             assert table.cross_coincidences(n).tolist() == [
-                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
+                dense_offset_coincidences(w, r, dn) for dn in range(1, n + 1)], n
 
     @settings(max_examples=40, deadline=None)
     @given(t=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
@@ -469,11 +469,12 @@ class TestLagSweep:
         # each offset's count is the same at every reach that holds it
         table, w, r = random_table(t, 0.3, seed)
         widest = table.cross_coincidences(t - 1).tolist()
-        assert widest == [dense_offset_coincidences(w, r, dn) for dn in range(t)]
+        assert widest == [dense_offset_coincidences(w, r, dn) for dn in range(1, t)]
         for n in (c % t for c in picks):
-            assert table.cross_coincidences(n).tolist() == widest[:n + 1]
+            assert table.cross_coincidences(n).tolist() == widest[:n]
             if w.any() and r.any():  # else g2 is undefined
-                assert cross_counts(table, n) == widest[:n + 1]
+                assert cross_counts(table, n) == [dense_offset_coincidences(w, r, 0),
+                                                  *widest[:n]]
 
     def test_analyze_sweeps_each_table_once(self, fast_config, monkeypatch):
         from phononherald import cli
@@ -506,14 +507,14 @@ class TestLagSweep:
         table = make_table(w, np.zeros(t), r, np.zeros(t))
         for n in (500, 2, 0, 999, 5, 1, 4):  # the W->R gaps are 0, 2 and 5
             assert table.cross_coincidences(n).tolist() == [
-                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
+                dense_offset_coincidences(w, r, dn) for dn in range(1, n + 1)], n
         # a pair exactly T - 1 trials apart, either way round: only W first
         # is a W->R coincidence
         for first, last, found in (("w", "r", 1), ("r", "w", 0)):
             flags = {"w": np.zeros(t, dtype=bool), "r": np.zeros(t, dtype=bool)}
             flags[first][0] = flags[last][t - 1] = True
             edge = make_table(flags["w"], np.zeros(t), flags["r"], np.zeros(t))
-            assert edge.cross_coincidences(t - 2).tolist() == [0] * (t - 1)
+            assert edge.cross_coincidences(t - 2).tolist() == [0] * (t - 2)
             cross = cross_estimate(edge, t - 1)
             assert cross["delta_n"][t - 1].counts["N_coinc"] == found
             assert cross["delta_n_pooled"].counts["N_coinc"] == found
@@ -526,11 +527,11 @@ class TestLagSweep:
         table, w, r = random_table(t, 0.1, 11)
         for n in (3, 0, 40, t - 1, 150, 1):
             assert table.cross_coincidences(n).tolist() == [
-                dense_offset_coincidences(w, r, dn) for dn in range(n + 1)], n
+                dense_offset_coincidences(w, r, dn) for dn in range(1, n + 1)], n
 
     def test_count_holds_the_reach_and_the_clicks_not_the_trials(self):
         # three clicks of W1 and R1 in 1e12 trials, two of them 5,000 trials
-        # apart: counting offsets 0..1e4 holds the 1e4 + 1 counts and a
+        # apart: counting offsets 1..1e4 holds the 1e4 counts and a
         # block of clicks' temporaries, not anything of the 1e12 trials
         n = 10**4
         clicked = np.array([0, 5_000, 4 * 10**11])
@@ -542,13 +543,13 @@ class TestLagSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2 * counts.nbytes
-        assert counts.size == n + 1 and counts[0] == 3 and counts[5_000] == 1
-        assert counts.sum() == 4
+        assert counts.size == n and counts[5_000 - 1] == 1
+        assert counts.sum() == 1
 
     def test_no_click_and_single_click_tables(self):
         t = 50
         empty = make_table(*np.zeros((4, t)))
-        assert empty.cross_coincidences(t - 1).tolist() == [0] * t
+        assert empty.cross_coincidences(t - 1).tolist() == [0] * (t - 1)
         for n in (0, 3, t - 1):
             with pytest.raises(A.EstimatorError, match="zero single"):
                 cross_estimate(empty, n)

@@ -160,6 +160,39 @@ class TestChannels:
             F.two_mode_squeeze(F.TwoModeFockState.vacuum(4), -0.2)
 
 
+def dense_loss(rho, mode, eta, n_max):
+    """The loss channel as a dense Kraus sum: sum_k K rho K^dag with K = K_k
+    (x) 1 for mode "A", 1 (x) K_k for mode "B", K_k for a single-mode rho."""
+    eye = np.eye(n_max + 1)
+    out = np.zeros_like(rho)
+    for k in F.loss_kraus(eta, n_max):
+        full = {"A": np.kron(k, eye), "B": np.kron(eye, k), None: k}[mode]
+        out += full @ rho @ full.conj().T
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(3, 10), eta=st.floats(0.0, 1.0), n_bar=st.floats(0.0, 0.5),
+       r=st.floats(0.0, 0.8), t=st.floats(0.0, 1.0), phase=st.floats(0.0, 2 * np.pi))
+def test_attenuate_matches_dense_kraus_sum(n_max, eta, n_bar, r, t, phase):
+    # a squeezed thermal pair after a beam splitter, with a phase per basis
+    # state: each mode has complex coherences, no mode's operator is
+    # symmetric and the two modes differ
+    d = n_max + 1
+    mech = F.thermal_state(n_bar, n_max, leak_tol=1.0)
+    pair = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), leak_tol=1.0)
+    pair = F.beam_splitter(F.two_mode_squeeze(pair, r), t)
+    u = np.exp(1j * phase * np.arange(d * d))
+    state = F.TwoModeFockState(u[:, None] * pair.rho * u.conj(), n_max, leak_tol=1.0)
+    for mode in ("A", "B"):
+        got = F.attenuate(state, mode, eta).rho
+        np.testing.assert_allclose(got, dense_loss(state.rho, mode, eta, n_max),
+                                   rtol=0, atol=1e-14)
+        single = state.reduced(mode)
+        np.testing.assert_allclose(F.attenuate_single(single, eta),
+                                   dense_loss(single, None, eta, n_max), rtol=0, atol=1e-14)
+
+
 @settings(max_examples=30, deadline=None)
 @given(mu=st.floats(0.0, 0.15), eta=st.floats(0.0, 1.0))
 def test_attenuate_preserves_state_invariants(mu, eta):
@@ -245,7 +278,7 @@ class TestScipyParity:
                 cfg.chain, eta_fc=1.0, eta_c=1.0, eta_qe1=1.0, eta_qe2=1.0,
                 eta_path1=0.5, eta_path2=0.5))
             config_mod.check(cfg)
-        n_max = cfg.numerics.n_max
+        n_max = N_MAX
         for window in (cfg.chain.window_write_ns, cfg.chain.window_read_ns):
             eta, log_b = silent_subsets(cfg, window)
             assert (eta[3] == 1.0) == efficiency_sum_1

@@ -48,7 +48,7 @@ class TestOutcomeTable:
         # the 16-pattern table collapsed over read bits must reproduce a
         # direct POVM evaluation on the post-squeeze state
         cfg = default_config
-        n_max = cfg.numerics.n_max
+        n_max = 16
         mech = F.thermal_state(cfg.heating.n_base, n_max, 1e-6)
         state = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
         state = F.two_mode_squeeze(state, np.arcsinh(np.sqrt(cfg.protocol.p_pair)))

@@ -236,7 +236,7 @@ def test_write_read_pairs_across_trials_are_independent(bright_run):
     offsets = np.arange(1, 11)
     cross = analysis.solve(analysis.g2_cross_estimate(
         trial_table.pattern_counts(), trial_table.trials,
-        trial_table.cross_coincidences(10)[1:].tolist()))["delta_n"]
+        trial_table.cross_coincidences(10).tolist()))["delta_n"]
     observed = [cross[d].counts["N_coinc"] for d in offsets.tolist()]
     expected = (trial_table.trials - offsets) * p_w * p_r
     assert chi2_pvalue(observed, expected, constrained=False) > ALPHA

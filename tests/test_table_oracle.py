@@ -14,15 +14,14 @@ from phononherald import protocol
 from phononherald.detection import silent_subsets
 
 
-def fock_outcome_table(config, delta_t_ns, n_max=None):
+def fock_outcome_table(config, delta_t_ns, n_max):
     """The write/heat/read pipeline evolved as truncated density matrices.
 
     Conditions the mechanics on each write pattern, adds the heating noise,
     swaps a share into the read mode and applies the read-side click POVM.
     Raises fock.TruncationError when a state leaks past the cutoff.
     """
-    n_max = config.numerics.n_max if n_max is None else n_max
-    leak_tol = config.numerics.leak_tol
+    leak_tol = ORACLE_LEAK_TOL
     proto, heat = config.protocol, config.heating
 
     mech = F.thermal_state(heat.n_base, n_max, leak_tol)
@@ -46,10 +45,12 @@ def fock_outcome_table(config, delta_t_ns, n_max=None):
     return protocol.OutcomeTable(delta_t_ns, probs)
 
 
-# The oracle runs at the shipped cutoff n_max 16 on the default config. The
-# heralded states of the other two, heated for 1500 ns, lose 2e-8..3e-8 of
-# their read-time occupation past level 16 (< 4e-10 at n_max 20).
+# The oracle runs at cutoff n_max 16 on the default config. The heralded
+# states of the other two, heated for 1500 ns, lose 2e-8..3e-8 of their
+# read-time occupation past level 16 (< 4e-10 at n_max 20). Every state's
+# top level holds at most ORACLE_LEAK_TOL.
 ORACLE_N_MAX = {"default_config": 16, "fast_config": 20, "read_heat_config": 20}
+ORACLE_LEAK_TOL = 1e-6
 
 # Inclusion-exclusion cancels the silent probabilities (each within ~1e-3
 # of 1) down to the ~2e-13 four-click patterns. Summing complements keeps
@@ -82,9 +83,9 @@ def test_closed_form_matches_fock_oracle(request, config_name, delta_t_ns):
 
 def test_thermometry_probs_match_fock_oracle(default_config):
     cfg = default_config
-    n_max = cfg.numerics.n_max
-    mech = F.thermal_state(cfg.heating.n_base, n_max, 1e-6)
-    base = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), 1e-6)
+    n_max = ORACLE_N_MAX["default_config"]
+    mech = F.thermal_state(cfg.heating.n_base, n_max, ORACLE_LEAK_TOL)
+    base = F.TwoModeFockState.from_single_modes(mech, F.vacuum_rho(n_max), ORACLE_LEAK_TOL)
     strength, n_base = cfg.protocol.p_pair, cfg.heating.n_base
     blue = F.two_mode_squeeze(base, np.arcsinh(np.sqrt(strength)))
     red = F.beam_splitter(base, strength)
