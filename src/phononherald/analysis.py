@@ -182,7 +182,9 @@ def binomial_ci(n_events, n_trials):
 
 def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
     """Minimizer of a unimodal f on [lo, hi], to within xatol or the floats
-    between them (Kiefer, Proc. AMS 4, 502 (1953))."""
+    between them (Kiefer, Proc. AMS 4, 502 (1953)), or whichever of lo and hi
+    has a lower f than that estimate: a minimum on an end is the end itself."""
+    ends = lo, hi
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > 2.0 * xatol and lo < c < d < hi:
@@ -194,7 +196,7 @@ def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = f(d)
-    return 0.5 * (lo + hi)
+    return min((0.5 * (lo + hi), *ends), key=f)
 
 
 @dataclass(frozen=True)
@@ -215,10 +217,6 @@ class CorrelationEstimate:
     @property
     def upper(self) -> float:
         return self.value + self.sigma_plus
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "sigma_minus": self.sigma_minus,
-                "sigma_plus": self.sigma_plus, "counts": dict(self.counts)}
 
 
 @dataclass
@@ -257,11 +255,6 @@ class TrialTable:
                      np.zeros(16, dtype=np.int64))
         counts[0] = self.trials - self.clicked.size
         return counts
-
-    def counters(self) -> dict:
-        counts = self.pattern_counts()
-        return {"T": self.trials, **{f"N_{name}": int(counts[mask].sum())
-                                     for name, mask in MASKS.items()}}
 
 
 def tabulate(stream: tags.TagStream, config: ExperimentConfig,
@@ -427,9 +420,6 @@ class CauchySchwarzVerdict:
     violated: bool
     margin: float
 
-    def to_dict(self) -> dict:
-        return {"violated": self.violated, "margin": self.margin}
-
 
 def cauchy_schwarz_test(cross: CorrelationEstimate,
                         bound: CorrelationEstimate) -> CauchySchwarzVerdict:
@@ -472,9 +462,7 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
                 clicks_red, pulses, (1.0 - x) * background + x * blue))
         blue_at_red = (rate_red - (1.0 - x) * background) / x if x else rate_blue
         lo, hi = sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0)))
-        # the golden section nears a minimum at 0 or 1 only to within xatol
-        return min([joint(_golden_section(joint, lo, hi, xatol))]
-                   + [joint(end) for end in (lo, hi) if end in (0.0, 1.0)])
+        return joint(_golden_section(joint, lo, hi, xatol))
 
     x_ml = value / (1.0 + value)
     peak = profile(x_ml)

@@ -53,8 +53,4 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
         raise CalibrationError(
             f"bounded search over a_heat in {A_HEAT_BOUNDS} cannot reach the "
             f"target curve (best a_heat={best:.4f}, rms residual {rms:.3f})")
-    # the correlation decays monotonically in a_heat, so a flat maximum at
-    # the lower bound means "no heating"
-    if best < 1e-3 and cost(0.0) <= cost(best) + 1e-12:
-        best = 0.0
     return best

@@ -122,7 +122,9 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
               trials * len(rows), "WRITE")
     entries = {}
     for delta_t, table in trial_tables.items():
-        entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": table.counters()}
+        counters = {"T": trials, **{f"N_{name}": int(rows[delta_t][mask].sum())
+                                    for name, mask in protocol.MASKS.items()}}
+        entry = entries[delta_t] = {"delta_t_ns": delta_t, "counters": counters}
         swept = table.cross_coincidences(0 if far else delta_n_max).tolist()
         _estimate(entry, "cross", analysis.g2_cross_estimate, rows[delta_t], trials, swept)
         entry.update(entry.pop("cross", {}))
@@ -146,10 +148,10 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
 
 
 def _plain(value):
-    """A summary.json value: estimates and verdicts as their dicts."""
+    """A summary.json value: estimates and verdicts as the dicts of their fields."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
-    return value.to_dict() if hasattr(value, "to_dict") else value
+    return vars(value) if dataclasses.is_dataclass(value) else value
 
 
 def _interval(est):
@@ -211,7 +213,7 @@ def cmd_thermometry(cfg, args):
         "rate_blue_corrected": result.rate_blue_corrected,
         "rate_red_corrected": result.rate_red_corrected,
         "ideal_asymmetry": result.ideal_asymmetry,
-        "n_th": occ.to_dict(),
+        "n_th": vars(occ),
     })}, EXIT_OK
 
 

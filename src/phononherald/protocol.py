@@ -68,8 +68,8 @@ def pattern_g2(counts, total=1.0, names=tuple(G2_EVENTS)):
     sums = np.stack([counts[..., MASKS[event]].sum(-1)
                      for name in names for event in G2_EVENTS[name]], -1)
     both, one, two = sums[..., 0::3], sums[..., 1::3], sums[..., 2::3]
-    singles = (one / total) * (two / total)
-    if not singles.all():  # a zero single, or a product below the float range
+    # a zero single, checked before dividing by a total of 0, or a product below the float range
+    if not (one.all() and two.all() and (singles := (one / total) * (two / total)).all()):
         raise EstimatorError("zero single-event probability")
     return both / total / singles, 1.0 / singles
 

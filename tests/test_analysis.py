@@ -150,6 +150,13 @@ def cross_estimate(table, delta_n_max=0):
                                        table.cross_coincidences(delta_n_max).tolist()))
 
 
+def counters(table):
+    """A table's trials and each ``MASKS`` event's count, from its count row."""
+    row = table.pattern_counts()
+    return {"T": table.trials, **{f"N_{name}": int(row[mask].sum())
+                                  for name, mask in protocol.MASKS.items()}}
+
+
 def with_trials(config, trials):
     return config.replace(protocol=dataclasses.replace(config.protocol, trials=trials))
 
@@ -173,7 +180,7 @@ class TestTabulate:
             (4, 0, tags.READ_PULSE, rs + 54_999),
         ]
         table = A.tabulate(self.stream_for(cfg, entries, 10), cfg)[100.0]
-        c = table.counters()
+        c = counters(table)
         assert (c["N_W1"], c["N_W2"], c["N_R1"], c["N_R2"]) == (1, 1, 1, 1)
         assert c["N_WR"] == 1  # trial 0 has both a write and a read click
 
@@ -185,8 +192,8 @@ class TestTabulate:
         stream = self.stream_for(cfg, entries, 10)
         full = A.tabulate(stream, cfg)[100.0]
         trimmed = A.tabulate(stream, cfg, read_window_ns=30.0)[100.0]
-        assert full.counters()["N_R1"] == 2
-        assert trimmed.counters()["N_R1"] == 1
+        assert counters(full)["N_R1"] == 2
+        assert counters(trimmed)["N_R1"] == 1
 
     def test_out_of_window_record_rejected(self, default_config):
         cfg = with_trials(default_config, 10)
@@ -214,7 +221,7 @@ class TestTabulate:
         with pytest.raises(tags.TagFormatError,
                            match=rf"outside its labelled pulse window \(trial {trial}\)"):
             A.tabulate(stream, cfg)
-        ok = A.tabulate(self.stream_for(cfg, good, 60), cfg)[delays[k]].counters()
+        ok = counters(A.tabulate(self.stream_for(cfg, good, 60), cfg)[delays[k]])
         assert (ok["N_W1"], ok["N_R2"], ok["N_WR"]) == (1, 1, 1)
 
     def test_trial_count_mismatch_rejected(self, default_config):
@@ -237,7 +244,7 @@ class TestTabulate:
         finally:
             tracemalloc.stop()
         records = path.stat().st_size // tags.RECORD_SIZE
-        assert records >= 100_000 and tables[100.0].counters()["N_W"] > 0
+        assert records >= 100_000 and counters(tables[100.0])["N_W"] > 0
         assert peak <= 1.75 * records * tags.RECORD_SIZE
 
     def test_blocks_of_any_size_give_the_same_tables(self, fast_config, monkeypatch):
@@ -382,7 +389,7 @@ def test_record_level_counts_match_dense_oracle(fast_config):
             table = tables[dt]
             w1, w2, r1, r2 = dense_flags(stream, cfg, k, read_window_ns)
             w, r = w1 | w2, r1 | r2
-            assert table.counters() == {
+            assert counters(table) == {
                 "T": cfg.protocol.trials,
                 "N_W1": int(w1.sum()), "N_W2": int(w2.sum()),
                 "N_R1": int(r1.sum()), "N_R2": int(r2.sum()),
@@ -411,7 +418,7 @@ def test_record_level_counts_match_dense_oracle(fast_config):
         assert ([write[key] for key in ("N_coinc", "N_1", "N_2", "T")]
                 == auto_write.tolist())
         assert write["N_coinc"] > 0 and min(
-            t.counters()["N_WR"] for t in tables.values()) > 0
+            counters(t)["N_WR"] for t in tables.values()) > 0
 
         # record order and repeated records do not matter to the analysis
         rng = np.random.default_rng(3)
@@ -421,7 +428,7 @@ def test_record_level_counts_match_dense_oracle(fast_config):
         again = A.tabulate(tags.TagStream(stream.config_hash, stream.trial_count, messy),
                            cfg, read_window_ns)
         for dt in settings:
-            assert again[dt].counters() == tables[dt].counters()
+            assert counters(again[dt]) == counters(tables[dt])
             for name in ("clicked", "patterns"):
                 assert np.array_equal(getattr(again[dt], name), getattr(tables[dt], name))
 
@@ -655,6 +662,13 @@ def brackets_scaled(factor=1e3):
         mp.setattr(A, "_golden_section", lambda f, lo, hi, xatol: golden(
             f, lo / factor, min(hi * factor, 1.0), xatol))
         yield
+
+
+@pytest.mark.parametrize("slope, end", [(1.0, 0.3), (-1.0, 0.7)],
+                         ids=["increasing", "decreasing"])
+def test_golden_section_returns_a_minimum_on_an_end_exactly(slope, end):
+    # not a point of the last bracket, within xatol of the end
+    assert A._golden_section(lambda x: slope * x, 0.3, 0.7, 1e-4) == end
 
 
 BOUND_ROWS = {  # (N_coinc, N_1, N_2, T) of WRITE; of READ

@@ -379,6 +379,22 @@ class TestExitCodes:
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith(line)
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "empty.tags", "--trials", 0, "--out", "o"],
+        ["reproduce", "--figure", "fig3b", "--trials", 0, "--out", "figs"],
+    ], ids=["analyze", "fig3b"])
+    def test_empty_stream_is_5_with_one_line(self, tmp_path, argv):
+        # with no trial every single is zero: found before it is divided by
+        # the trial count, which printed four numpy warnings first
+        assert run(["simulate", "--trials", 0, "--out", tmp_path / "empty.tags"]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "phononherald.cli", *map(str, argv)],
+            cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 5
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "Warning:" not in proc.stderr
+
     def test_negative_delta_n_is_2(self, tmp_path, capsys):
         # rejected before the (here missing) stream is read
         assert run(["analyze", tmp_path / "nope.tags", "--delta-n", -3,
@@ -524,16 +540,41 @@ def _every_stage(d, fast, target):
     }
 
 
+def _target(d):
+    """A calibration target in ``d``: the model curve at a_heat = 0.3."""
+    from phononherald import calibrate
+    target = d / "target.csv"
+    curve = calibrate.model_curve(config_mod.default_config(), (100.0, 700.0), 0.3)
+    target.write_text("delta_t_ns,g2_om\n" + "".join(
+        f"{dt},{g}\n" for dt, g in zip((100.0, 700.0), curve)))
+    return target
+
+
+# SHA-256 of each output of the stages that
+# TestSimulateAnalyze.test_golden_analysis_outputs leaves out, at the sizes of
+# _every_stage
+STAGE_DIGESTS = {
+    "thermometry": {
+        "t.json": "da978a6add4529247fba342d1c11e5e5e1df55db1fd8760b16023c0201812930"},
+    "calibrate-heating": {
+        "fit.json": "a9c8880f17573bae8eb4688a0953db5a5c1e7656f959ba4028f51cd921c739f4"},
+    "fig2": {"fig2_thermometry.csv":
+             "223f239230bd5a0762f6d692d6984b0274b298b9619e66e26ee2b45f2d12a4cf"},
+    "fig3b": {"fig3b_cross_correlation.csv":
+              "ca843bf3fe209f15a161e86092f252ba97e9ed8637c06761e7762d6909d4e370"},
+    "fig3c": {"fig3c_correlation_decay.csv":
+              "c00d2eeec165e5450affb40d01b9ce3a3d634b856e8aa1222b3f3eab6b9f0c58"},
+    "m3": {"m3_fits.json": "86cb53da0c6a0036c744bf19044da0a64714803629814d1fce881e37259696dc",
+           "m3_pump_probe.csv":
+           "26013d40722d702bcd6e194e02f285e66d1a02debb384c2d78d6a76dbc0087e9"},
+}
+
+
 class TestStageRunner:
     def test_every_stage_writes_into_missing_directories_with_its_manifest(
             self, tmp_path, fast_config_path):
-        from phononherald import calibrate
-        target = tmp_path / "target.csv"
-        curve = calibrate.model_curve(config_mod.default_config(), (100.0, 700.0), 0.3)
-        target.write_text("delta_t_ns,g2_om\n" + "".join(
-            f"{dt},{g}\n" for dt, g in zip((100.0, 700.0), curve)))
         for name, (argv, first, inputs, cfg, overrides) in _every_stage(
-                tmp_path, fast_config_path, target).items():
+                tmp_path, fast_config_path, _target(tmp_path)).items():
             assert run(argv) == 0, name
             manifest = json.loads(
                 first.with_name(first.name + ".manifest.json").read_text())
@@ -546,6 +587,13 @@ class TestStageRunner:
                 + [first.name + ".manifest.json"]), name
             assert manifest["config_hash"] == f"{cfg.config_hash():016x}", name
             assert manifest["overrides"] == overrides, name
+
+    @pytest.mark.parametrize("name, digests", STAGE_DIGESTS.items(), ids=list(STAGE_DIGESTS))
+    def test_golden_stage_outputs(self, tmp_path, fast_config_path, name, digests):
+        argv, first, *_ = _every_stage(tmp_path, fast_config_path, _target(tmp_path))[name]
+        assert run(argv) == 0
+        assert {path: hashlib.sha256((first.parent / path).read_bytes()).hexdigest()
+                for path in digests} == digests
 
     def test_manifest_records_only_the_flags_given(self, tmp_path, fast_config_path):
         # a flag left at its default is no override; one given is recorded,
