@@ -180,10 +180,10 @@ def binomial_ci(n_events, n_trials):
     return tuple(v.item() if v.ndim == 0 else v for v in interval)
 
 
-def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of a unimodal f on [lo, hi], to within xatol or the floats
-    between them (Kiefer, Proc. AMS 4, 502 (1953)), or whichever of lo and hi
-    has a lower f than that estimate: a minimum on an end is the end itself."""
+def _golden_section(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """(f(x), x) for the minimizer x of a unimodal f on [lo, hi], to within
+    xatol or the floats between them (Kiefer, Proc. AMS 4, 502 (1953)), or
+    for lo or hi if f is lower there: a minimum on an end is the end itself."""
     ends = lo, hi
     c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
@@ -196,7 +196,7 @@ def _golden_section(f, lo: float, hi: float, xatol: float) -> float:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
             fd = f(d)
-    return min((0.5 * (lo + hi), *ends), key=f)
+    return min(((f(x), x) for x in (0.5 * (lo + hi), *ends)), key=lambda fx: fx[0])
 
 
 @dataclass(frozen=True)
@@ -462,7 +462,7 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
                 clicks_red, pulses, (1.0 - x) * background + x * blue))
         blue_at_red = (rate_red - (1.0 - x) * background) / x if x else rate_blue
         lo, hi = sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0)))
-        return joint(_golden_section(joint, lo, hi, xatol))
+        return _golden_section(joint, lo, hi, xatol)[0]
 
     x_ml = value / (1.0 + value)
     peak = profile(x_ml)
@@ -529,7 +529,7 @@ def fit_exponential(t, y, model: str = "decay") -> ExponentialFit:
     if not 0 < best < grid.size - 1:
         raise FitError(f"exponential fit: best time constant at a bound of "
                        f"{FIT_TAU_BOUNDS}")
-    log_tau = _golden_section(ssr, grid[best - 1], grid[best + 1], 1e-10)
+    _, log_tau = _golden_section(ssr, grid[best - 1], grid[best + 1], 1e-10)
     a, c, rss = _projected_fit(t, y, log_tau)
     amplitude, offset = (a, c - a) if model == "decay" else (-a, c)
     tau = math.exp(log_tau)

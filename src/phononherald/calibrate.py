@@ -47,8 +47,8 @@ def calibrate_a_heat(config: ExperimentConfig, targets) -> float:
     def cost(a):
         return float(np.sum((model_curve(config, delta_ts, a) - g_target) ** 2))
 
-    best = _golden_section(cost, *A_HEAT_BOUNDS, xatol=1e-4)
-    rms = np.sqrt(cost(best) / len(targets))
+    least, best = _golden_section(cost, *A_HEAT_BOUNDS, xatol=1e-4)
+    rms = np.sqrt(least / len(targets))
     if rms > RESIDUAL_REL_TOL * np.abs(g_target).mean():
         raise CalibrationError(
             f"bounded search over a_heat in {A_HEAT_BOUNDS} cannot reach the "

@@ -189,16 +189,8 @@ def cmd_analyze(cfg, args):
 
 
 def _thermometry(cfg, pulses):
-    pulses = 1_000_000 if pulses is None else pulses
-    if pulses <= 0:
-        raise config_mod.ConfigError(f"pulses: {pulses} must be > 0")
-    # every pulse owns its trial counters, as a stream's trials do
-    if pulses // 2 * 2 > config_mod.MAX_TRIALS:
-        raise config_mod.ConfigError(
-            f"pulses: {pulses} give 2 x {pulses // 2} pulses per colour, "
-            f"which must be <= {config_mod.MAX_TRIALS}")
     from . import analysis
-    result = protocol.simulate_thermometry(cfg, pulses)
+    result = protocol.simulate_thermometry(cfg, 1_000_000 if pulses is None else pulses)
     return result, analysis.sideband_occupancy(
         result.clicks_red, result.clicks_blue, result.pulses_per_color,
         result.background_click_prob)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gaussian, rng, tags
-from .config import MIN_WINDOW_NS, ConfigError, ExperimentConfig
+from .config import MAX_TRIALS, MIN_WINDOW_NS, ConfigError, ExperimentConfig
 from .detection import PATTERN_FROM_SILENT, silent_subsets
 
 PROB_SUM_TOL = 1e-9
@@ -119,7 +119,6 @@ def build_outcome_table(config: ExperimentConfig, delta_t_ns: float) -> OutcomeT
     proto = config.protocol
     heat = config.heating
     delta_n = heating_occupation(delta_t_ns, heat) - heat.n_base + heat.read_heat
-    delta_n = max(delta_n, 0.0)
     moments = gaussian.detected_moments(proto.p_pair, heat.n_base, delta_n,
                                         proto.eps_read)
 
@@ -287,8 +286,11 @@ def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryRe
     pulses. Blue pulses own trials [0, N) and red ones [N, 2N), N per colour.
     """
     if pulses <= 0:
-        raise ValueError(f"pulses must be > 0, got {pulses}")
+        raise ConfigError(f"pulses: {pulses} must be > 0")
     per_color = pulses // 2
+    if 2 * per_color > MAX_TRIALS:  # every pulse owns its trial counters, as a stream's trials do
+        raise ConfigError(f"pulses: {pulses} give 2 x {per_color} pulses per colour, "
+                          f"which must be <= {MAX_TRIALS}")
     n_blue = config.protocol.p_pair * (1.0 + config.heating.n_base)
     n_red = config.protocol.p_pair * config.heating.n_base
     eta, log_b = silent_subsets(config, config.chain.window_write_ns)

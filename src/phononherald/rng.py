@@ -14,8 +14,8 @@ that every block reuses, on three exact integer identities:
 - counter: the draw-0 counter of trial t is (8t + 1) G + seed, and
   (8t + 1) G + seed = (t - lo) 8G + ((8 lo + 1) G + seed) modulo 2**64, so
   a block starting at trial lo is one add of a scalar to a fixed stride;
-- mix: the splitmix64 finalizer runs in place, its shifts through one
-  temporary;
+- mix: one in-place finalizer, its shifts through one temporary, serves
+  ``uniforms`` and ``clicked`` alike; each applies the last step itself;
 - compare: k >= T  <=>  hash >= T * 2**11 for T < 2**53, so k is never
   formed. The finalizer's last step, hash = x ^ (x >> 31), leaves the top
   31 bits of x as they are, so x >= T * 2**11 with its low 33 bits cleared
@@ -50,14 +50,15 @@ _BLOCK = 1 << 15  # trials per click-pass block: 3 uint64 buffers of 256 KB
 _GAP_BATCH = 1 << 16  # most gaps drawn at once: a few arrays of 512 KB
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; mixes ``x`` in place and returns it."""
-    x ^= x >> _SHIFT1
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> None:
+    """The splitmix64 finalizer on ``x`` in place, its shifts through
+    ``tmp``, up to but not including its last step, x ^= x >> 31."""
+    np.right_shift(x, _SHIFT1, out=tmp)
+    x ^= tmp
     x *= _MIX1
-    x ^= x >> _SHIFT2
+    np.right_shift(x, _SHIFT2, out=tmp)
+    x ^= tmp
     x *= _MIX2
-    x ^= x >> _SHIFT3
-    return x
 
 
 def uniforms(seed: int, trial_indices: np.ndarray,
@@ -69,13 +70,15 @@ def uniforms(seed: int, trial_indices: np.ndarray,
         raise ValueError(f"draw index {draw} outside [0, {DRAWS_PER_TRIAL})")
     trials = np.asarray(trial_indices, dtype=np.uint64)
     # one counter array, hashed in place: a chunk's peak memory stays a few
-    # arrays
+    # arrays (and one trial's counter a 0-d array, not a scalar)
     with np.errstate(over="ignore"):
-        z = trials * np.uint64(DRAWS_PER_TRIAL)
+        z = np.asarray(trials * np.uint64(DRAWS_PER_TRIAL))
         z += (draws + 1).astype(np.uint64)
         z *= _GOLDEN
         z += np.uint64(seed & _MASK64)
-        z = _mix64(z)
+        tmp = np.empty_like(z)
+        _mix64(z, tmp)
+        z ^= np.right_shift(z, _SHIFT3, out=tmp)
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out *= _INV_2_53
@@ -108,12 +111,7 @@ def clicked(p: float, seed: int, start: int,
             z, tmp = x[:m], shifted[:m]
             first = ((DRAWS_PER_TRIAL * lo + 1) * golden + seed) & _MASK64
             np.add(stride[:m], np.uint64(first), out=z)
-            np.right_shift(z, _SHIFT1, out=tmp)
-            z ^= tmp
-            z *= _MIX1
-            np.right_shift(z, _SHIFT2, out=tmp)
-            z ^= tmp
-            z *= _MIX2
+            _mix64(z, tmp)
             # the last step only for trials whose top 31 bits reach coarse
             near = np.flatnonzero(np.greater_equal(z, coarse, out=above[:m]))
             hashed = z[near]

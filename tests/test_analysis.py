@@ -668,7 +668,26 @@ def brackets_scaled(factor=1e3):
                          ids=["increasing", "decreasing"])
 def test_golden_section_returns_a_minimum_on_an_end_exactly(slope, end):
     # not a point of the last bracket, within xatol of the end
-    assert A._golden_section(lambda x: slope * x, 0.3, 0.7, 1e-4) == end
+    assert A._golden_section(lambda x: slope * x, 0.3, 0.7, 1e-4) == (slope * end, end)
+
+
+@pytest.mark.parametrize("f, want", [
+    (lambda x: math.cosh(x - 0.41), 0.41),
+    (lambda x: 1.0, None),
+    (lambda x: math.exp(x) - 0.5, 0.3),
+    (lambda x: math.log(1.5 - x), 0.7),
+], ids=["interior", "flat", "increasing", "decreasing"])
+def test_golden_section_returns_its_minimums_value(f, want):
+    # f at the point it picks, with the bits of a fresh call: callers read
+    # the minimum from it instead of calling f there again
+    fx, x = A._golden_section(f, 0.3, 0.7, 1e-6)
+    assert np.float64(fx).tobytes() == np.float64(f(x)).tobytes()
+    if want is None:  # a tie with both ends keeps the estimate
+        assert 0.3 < x < 0.7
+    elif 0.3 < want < 0.7:
+        assert x == pytest.approx(want, abs=1e-5)
+    else:
+        assert x == want
 
 
 BOUND_ROWS = {  # (N_coinc, N_1, N_2, T) of WRITE; of READ

@@ -10,7 +10,7 @@ import pytest
 
 from phononherald import analysis, protocol, tags
 from phononherald import fock as F
-from phononherald.config import ConfigError, ExperimentConfig
+from phononherald.config import MAX_TRIALS, ConfigError, ExperimentConfig
 from phononherald.detection import silent_subsets
 
 
@@ -323,8 +323,20 @@ class TestThermometry:
         assert result.background_click_prob == 3.4544602543976194e-05
 
     def test_rejects_nonpositive_pulses(self, default_config):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="pulses: 0 must be > 0"):
             protocol.simulate_thermometry(default_config, 0)
+
+    def test_rejects_pulses_past_the_counter_limit_at_once(self, default_config,
+                                                           monkeypatch):
+        # 2 x (2**60 + 1) pulses would reuse trial counters: refused before
+        # any click is drawn
+        def drawn(*args):
+            raise AssertionError("clicks drawn past the counter limit")
+
+        monkeypatch.setattr(protocol.rng, "bernoulli_clicks", drawn)
+        pulses = MAX_TRIALS + 2
+        with pytest.raises(ConfigError, match=f"pulses: {pulses} give 2 x {pulses // 2} "):
+            protocol.simulate_thermometry(default_config, pulses)
 
 
 class TestPumpProbe:

@@ -99,6 +99,8 @@ def test_matches_scalar_splitmix64_and_leaves_inputs():
     assert np.array_equal(idx, kept)
     assert got.tolist() == [reference(2 ** 64 - 3, int(t), int(d))
                             for t, d in zip(kept, draws)]
+    # one trial given as a number: a numpy scalar would be rebound, unmixed
+    assert rng.uniforms(2 ** 64 - 3, 1, 3) == got[1]
 
 
 def _float_clicks(p, seed, start, stop):
