@@ -148,7 +148,7 @@ def _analyze_stream(stream, cfg, read_window_ns, delta_n_max):
 
 
 def _plain(value):
-    """A summary.json value: estimates and verdicts as the dicts of their fields."""
+    """A JSON value: estimates and verdicts as the dicts of their fields."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     return vars(value) if dataclasses.is_dataclass(value) else value
@@ -189,35 +189,32 @@ def cmd_analyze(cfg, args):
 
 
 def _thermometry(cfg, pulses):
+    """The thermometry report: per-pulse rates, the ideal asymmetry and n_th."""
     from . import analysis
     result = protocol.simulate_thermometry(cfg, 1_000_000 if pulses is None else pulses)
-    return result, analysis.sideband_occupancy(
-        result.clicks_red, result.clicks_blue, result.pulses_per_color,
-        result.background_click_prob)
+    per_color, background = result.pulses_per_color, result.background_click_prob
+    # n_th first: a colour with no pulses exits 5 there, before a rate divides by 0
+    occ = analysis.sideband_occupancy(result.clicks_red, result.clicks_blue,
+                                      per_color, background)
+    blue, red = result.clicks_blue / per_color, result.clicks_red / per_color
+    return {"pulses_per_color": per_color, "rate_blue": blue, "rate_red": red,
+            "rate_blue_corrected": max(blue - background, 0.0),
+            "rate_red_corrected": max(red - background, 0.0),
+            "ideal_asymmetry": result.ideal_asymmetry, "n_th": occ}
 
 
 def cmd_thermometry(cfg, args):
-    result, occ = _thermometry(cfg, args.pulses)
-    return {Path(args.out): _json({
-        "pulses_per_color": result.pulses_per_color,
-        "rate_blue": result.rate_blue,
-        "rate_red": result.rate_red,
-        "rate_blue_corrected": result.rate_blue_corrected,
-        "rate_red_corrected": result.rate_red_corrected,
-        "ideal_asymmetry": result.ideal_asymmetry,
-        "n_th": vars(occ),
-    })}, EXIT_OK
+    return {Path(args.out): _json(_plain(_thermometry(cfg, args.pulses)))}, EXIT_OK
 
 
 def _reproduce_fig2(cfg, args):
-    result, occ = _thermometry(cfg, args.trials)
-    asym = (result.rate_blue_corrected / result.rate_red_corrected
-            if result.rate_red_corrected > 0 else float("inf"))
+    report = _thermometry(cfg, args.trials)
+    blue, red = report["rate_blue_corrected"], report["rate_red_corrected"]
     return {"fig2_thermometry.csv": _csv(
         ["rate_blue", "rate_red", "asymmetry_corrected", "ideal_asymmetry",
          "n_th", "n_th_ci_minus", "n_th_ci_plus"],
-        [[result.rate_blue, result.rate_red, asym, result.ideal_asymmetry,
-          *_interval(occ)]])}
+        [[report["rate_blue"], report["rate_red"], blue / red if red > 0 else float("inf"),
+          report["ideal_asymmetry"], *_interval(report["n_th"])]])}
 
 
 def _reproduce_fig3b(cfg, args):

@@ -253,22 +253,6 @@ class ThermometryResult:
     background_click_prob: float
     ideal_asymmetry: float | None
 
-    @property
-    def rate_blue(self) -> float:
-        return self.clicks_blue / self.pulses_per_color
-
-    @property
-    def rate_red(self) -> float:
-        return self.clicks_red / self.pulses_per_color
-
-    @property
-    def rate_blue_corrected(self) -> float:
-        return max(self.rate_blue - self.background_click_prob, 0.0)
-
-    @property
-    def rate_red_corrected(self) -> float:
-        return max(self.rate_red - self.background_click_prob, 0.0)
-
 
 def simulate_thermometry(config: ExperimentConfig, pulses: int) -> ThermometryResult:
     """Alternating blue/red pulse trains at the baseline occupation.

@@ -702,6 +702,21 @@ class TestReproduce:
         assert not (out / "fig2_thermometry.csv").exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_fig2_and_thermometry_write_one_report(self, tmp_path):
+        # at one seed and pulse count both writers give the same floats
+        assert run(["thermometry", "--seed", 11, "--pulses", 200_000,
+                    "--out", tmp_path / "t.json"]) == 0
+        assert run(["reproduce", "--figure", "fig2", "--seed", 11, "--trials", 200_000,
+                    "--out", tmp_path / "figs"]) == 0
+        report = json.loads((tmp_path / "t.json").read_text())
+        header, row = (tmp_path / "figs" / "fig2_thermometry.csv").read_text().splitlines()
+        n_th = report["n_th"]
+        assert dict(zip(header.split(","), map(float, row.split(",")))) == {
+            "rate_blue": report["rate_blue"], "rate_red": report["rate_red"],
+            "asymmetry_corrected": report["rate_blue_corrected"] / report["rate_red_corrected"],
+            "ideal_asymmetry": report["ideal_asymmetry"], "n_th": n_th["value"],
+            "n_th_ci_minus": n_th["sigma_minus"], "n_th_ci_plus": n_th["sigma_plus"]}
+
     def test_m3_fits(self, tmp_path):
         out = tmp_path / "figs"
         assert run(["reproduce", "--figure", "m3", "--out", out]) == 0
