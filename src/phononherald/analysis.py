@@ -14,8 +14,8 @@ continued fraction by the modified Lentz method, times a power term built
 from Stirling-series differences. The solve runs elementwise over arrays,
 so one call gives every interval of a stream; each element leaves the
 active set once it has converged. Exponential fits use variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with a
-golden-section search, which the heating calibration shares.
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with
+``protocol``'s golden-section search, which the heating calibration shares.
 
 A g2 interval holds 68% of the flat-prior binomial likelihood of its
 coincidences, L(p) ~ p^N (1-p)^(T-N), 16% beyond each edge; singles are
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import tags
 from .config import ExperimentConfig
-from .protocol import (G2_EVENTS, MASKS, SLOT_BITS, EstimatorError, pattern_g2,
-                       window_geometry)
+from .protocol import (G2_EVENTS, MASKS, SLOT_BITS, EstimatorError, _golden_section,
+                       pattern_g2, window_geometry)
 
 TAIL_MASS = 0.16
 
@@ -48,7 +48,6 @@ class FitError(EstimatorError):
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # _stirling_correction below 10 at the integers, as numpy has no lgamma
 _STIRLING_SMALL = np.array([math.nan] + [math.lgamma(z) - (z - 0.5) * math.log(z) + z
                                          - _HALF_LOG_2PI for z in range(1, 10)])
@@ -178,25 +177,6 @@ def binomial_ci(n_events, n_trials):
         2, *p_ml.shape)
     interval = p_ml, np.maximum(p_ml - lo, 0.0), np.maximum(hi - p_ml, 0.0)
     return tuple(v.item() if v.ndim == 0 else v for v in interval)
-
-
-def _golden_section(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """(f(x), x) for the minimizer x of a unimodal f on [lo, hi], to within
-    xatol or the floats between them (Kiefer, Proc. AMS 4, 502 (1953)), or
-    for lo or hi if f is lower there: a minimum on an end is the end itself."""
-    ends = lo, hi
-    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 2.0 * xatol and lo < c < d < hi:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
-    return min(((f(x), x) for x in (0.5 * (lo + hi), *ends)), key=lambda fx: fx[0])
 
 
 @dataclass(frozen=True)

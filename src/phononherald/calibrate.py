@@ -13,9 +13,8 @@ import dataclasses
 
 import numpy as np
 
-from .analysis import _golden_section
 from .config import ConfigError, ExperimentConfig
-from .protocol import CalibrationError, build_outcome_table, pattern_g2
+from .protocol import CalibrationError, _golden_section, build_outcome_table, pattern_g2
 
 A_HEAT_BOUNDS = (0.0, 5.0)
 RESIDUAL_REL_TOL = 0.05

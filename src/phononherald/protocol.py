@@ -17,10 +17,13 @@ that click get a float uniform, pick their pattern from the table and draw
 click times, which makes 1e7+ trials cheap and embarrassingly parallel.
 ``pattern_g2`` turns 16-pattern probabilities, or a stream's pattern
 counts, into g2_om, g2_WW and g2_RR: one rule for the model and the data.
+``_golden_section`` is the one bounded minimizer, of the heating calibration
+and the analysis's fits, here so the calibration needs no ``analysis``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from dataclasses import dataclass, replace
@@ -72,6 +75,28 @@ def pattern_g2(counts, total=1.0, names=tuple(G2_EVENTS)):
     if not (one.all() and two.all() and (singles := (one / total) * (two / total)).all()):
         raise EstimatorError("zero single-event probability")
     return both / total / singles, 1.0 / singles
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """(f(x), x) for the minimizer x of a unimodal f on [lo, hi], to within
+    xatol or the floats between them (Kiefer, Proc. AMS 4, 502 (1953)), or
+    for lo or hi if f is lower there: a minimum on an end is the end itself."""
+    ends = lo, hi
+    c, d = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 2.0 * xatol and lo < c < d < hi:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    return min(((f(x), x) for x in (0.5 * (lo + hi), *ends)), key=lambda fx: fx[0])
 
 
 def heating_occupation(delta_t_ns: float, heating) -> float:

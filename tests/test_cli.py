@@ -72,6 +72,14 @@ def test_cli_does_not_import_fock_oracle():
     assert not scipy_modules(modules)
 
 
+def test_calibrate_does_not_import_analysis():
+    # the heating fit takes its golden section from protocol
+    code = "import json, sys, phononherald.calibrate; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert "phononherald.analysis" not in json.loads(proc.stdout)
+
+
 def test_package_root_imports_no_numpy():
     # the package's API is its modules: the root holds only __version__
     code = "import json, sys, phononherald; print(json.dumps(sorted(sys.modules)))"
@@ -587,6 +595,50 @@ class TestStageRunner:
                 + [first.name + ".manifest.json"]), name
             assert manifest["config_hash"] == f"{cfg.config_hash():016x}", name
             assert manifest["overrides"] == overrides, name
+
+    def test_a_rerun_writes_the_same_bytes_to_new_files(self, tmp_path, fast_config_path):
+        # every output and manifest is unlinked, not truncated: a hard link
+        # to it keeps the first run's bytes, and a symlink at an output path
+        # becomes a regular file while its target stays as it was
+        stages = _every_stage(tmp_path, fast_config_path, _target(tmp_path))
+        written = {}
+        for name, (argv, first, *_) in stages.items():
+            assert run(argv) == 0, name
+            manifest = first.with_name(first.name + ".manifest.json")
+            outputs = [Path(p) for p in json.loads(manifest.read_text())["outputs"]]
+            written[name] = {path: path.read_bytes() for path in [*outputs, manifest]}
+        links, decoy = tmp_path / "links", tmp_path / "decoy"
+        links.mkdir()
+        decoy.write_bytes(b"not an output")
+        for name, files in written.items():
+            for k, path in enumerate(files):
+                os.link(path, links / f"{name}-{k}")
+            first = next(iter(files))
+            first.unlink()
+            first.symlink_to(decoy)
+        for name, (argv, *_) in stages.items():
+            assert run(argv) == 0, name
+        for name, files in written.items():
+            for k, (path, data) in enumerate(files.items()):
+                link = links / f"{name}-{k}"
+                assert not path.is_symlink(), path
+                assert link.read_bytes() == data, path
+                assert not os.path.samefile(link, path), path
+                if not path.name.endswith(".manifest.json"):  # a manifest holds its time
+                    assert path.read_bytes() == data, path
+        assert decoy.read_bytes() == b"not an output"
+
+    def test_a_failed_rerun_keeps_the_old_files(self, tmp_path, fast_config_path, capsys):
+        stages = _every_stage(tmp_path, fast_config_path, _target(tmp_path))
+        for name in ("simulate", "analyze"):
+            assert run(stages[name][0]) == 0
+        out = stages["analyze"][1].parent
+        before = {path: (path.stat().st_ino, path.read_bytes()) for path in out.iterdir()}
+        # another trial count is another config hash than the stream's
+        assert run([*stages["analyze"][0], "--trials", 1000]) == 4
+        assert "stream/config drift" in capsys.readouterr().err
+        assert {path: (path.stat().st_ino, path.read_bytes())
+                for path in out.iterdir()} == before
 
     @pytest.mark.parametrize("name, digests", STAGE_DIGESTS.items(), ids=list(STAGE_DIGESTS))
     def test_golden_stage_outputs(self, tmp_path, fast_config_path, name, digests):
