@@ -7,21 +7,18 @@ the model's g2 are of its probabilities; the lag sweep counts dn >= 1.
 ``solve`` turns ``Term``s, of one count row or an array of them, into estimates.
 
 The numerics are numpy and the standard library only: importing scipy
-would cost more than most stages' work. Beta quantiles come from a
-safeguarded Newton solve on the regularized incomplete beta function,
-evaluated as in DiDonato & Morris (ACM TOMS 18, 360 (1992)): their
-continued fraction by the modified Lentz method, times a power term built
-from Stirling-series differences. The solve runs elementwise over arrays,
-so one call gives every interval of a stream; each element leaves the
-active set once it has converged. Exponential fits use variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) with
-``protocol``'s golden-section search, which the heating calibration shares.
-
-A g2 interval holds 68% of the flat-prior binomial likelihood of its
-coincidences, L(p) ~ p^N (1-p)^(T-N), 16% beyond each edge; singles are
-held at their maximum-likelihood values, as coincidences dominate the
-error budget. The bound and n_th combine two counts: their intervals are
-profile likelihoods, where the log-likelihood is 1/2 below its peak."""
+would cost more than most stages' work. A g2 interval holds 68% of the
+flat-prior binomial likelihood of its coincidences, L(p) ~ p^N (1-p)^(T-N),
+16% beyond each edge (Beta quantiles of DiDonato & Morris, ACM TOMS 18,
+360 (1992), one array solve per stream); singles are held at their
+maximum-likelihood values, as coincidences dominate the error budget.
+The bound and n_th combine two counts: their intervals are profile
+likelihoods, where the log-likelihood is 1/2 below its peak, and each
+inner maximum is the root of its stationarity condition. One bisection
+to the last float finds every edge and n_th's root. Exponential fits use
+variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)) with ``protocol``'s golden-section search, which otherwise
+serves only the heating calibration."""
 
 from __future__ import annotations
 
@@ -348,15 +345,26 @@ def _binomial_deficit(n_events: int, n_trials: int, p: float) -> float:
                if n_events < n_trials else 0.0))
 
 
-def _likelihood_edge(deficit, inside: float, outside: float) -> float:
-    """Where a unimodal profile's log-likelihood ``deficit`` below its peak at
-    ``inside`` reaches 1/2 towards ``outside`` (68.3%: Wilks, Ann. Math. Stat.
-    9, 60 (1938)), by bisection to the last float; else ``outside``."""
-    if deficit(outside) <= 0.5:
+def _bisect(holds, inside: float, outside: float) -> float:
+    """The last float from ``inside`` to ``outside`` where ``holds``, by
+    bisection, for a ``holds`` true at ``inside`` that turns false once."""
+    if holds(outside):
         return outside
     while inside != (mid := 0.5 * (inside + outside)) != outside:
-        inside, outside = (mid, outside) if deficit(mid) <= 0.5 else (inside, mid)
+        inside, outside = (mid, outside) if holds(mid) else (inside, mid)
     return inside
+
+
+def _likelihood_edge(deficit, inside: float, outside: float) -> float:
+    """Where a unimodal profile's log-likelihood ``deficit``, 0 at ``inside``,
+    reaches 1/2 towards ``outside`` (68.3%: Wilks, Ann. Math. Stat. 9, 60 (1938))."""
+    return _bisect(lambda v: deficit(v) <= 0.5, inside, outside)
+
+
+def _convex_minimum(f, slope, lo: float, hi: float) -> float:
+    """The least f on [lo, hi] of a convex f, at its ``slope``'s sign change."""
+    at = _bisect(lambda v: slope(v) < 0.0, lo, hi)
+    return min(f(at), f(math.nextafter(at, hi)))
 
 
 def classical_bound(auto_write: Term, auto_read: Term) -> CorrelationEstimate:
@@ -430,8 +438,6 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
         raise EstimatorError(
             f"rate asymmetry pole: Gamma_B={rate_blue} <= Gamma_R={rate_red}")
     value = max(rate_red - background, 0.0) / denom
-    # of the blue rate's error, sqrt(min(rate, 1 - rate) / pulses), one miss at least
-    xatol = 1e-6 * math.sqrt(min(rate_blue, max(1.0 - rate_blue, 1.0 / pulses)) / pulses)
 
     def profile(x):  # the least joint log-likelihood deficit over Gamma_B
         if not 0.0 <= x <= 1.0:
@@ -440,9 +446,14 @@ def sideband_occupancy(clicks_red: int, clicks_blue: int, pulses: int,
         def joint(blue):
             return (_binomial_deficit(clicks_blue, pulses, blue) + _binomial_deficit(
                 clicks_red, pulses, (1.0 - x) * background + x * blue))
+
+        def slope(blue):  # d joint / d Gamma_B times Gamma_B (1 - Gamma_B) r (1 - r) / pulses
+            red = (1.0 - x) * background + x * blue
+            return ((blue - rate_blue) * red * (1.0 - red)
+                    + x * (red - rate_red) * blue * (1.0 - blue))
         blue_at_red = (rate_red - (1.0 - x) * background) / x if x else rate_blue
-        lo, hi = sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0)))
-        return _golden_section(joint, lo, hi, xatol)[0]
+        return _convex_minimum(joint, slope,
+                               *sorted((rate_blue, min(max(blue_at_red, 0.0), 1.0))))
 
     x_ml = value / (1.0 + value)
     peak = profile(x_ml)

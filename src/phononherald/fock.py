@@ -159,9 +159,11 @@ def validate_two_mode(rho: np.ndarray, n_max: int, leak_tol: float) -> None:
         raise StateInvariantError(f"trace {tr} deviates from 1 by {abs(tr-1):.3e}")
     if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
         raise StateInvariantError("density operator not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < EIGENVALUE_TOL:
-        raise StateInvariantError(f"negative eigenvalue {w.min():.3e}")
+    try:  # succeeds exactly when every eigenvalue exceeds EIGENVALUE_TOL
+        np.linalg.cholesky(rho - EIGENVALUE_TOL * np.eye(d * d))
+    except np.linalg.LinAlgError:
+        raise StateInvariantError(
+            f"negative eigenvalue {np.linalg.eigvalsh(rho).min():.3e}") from None
     p = np.real(np.diag(rho)).reshape(d, d)
     leak_a = p[d - 1, :].sum()
     leak_b = p[:, d - 1].sum()

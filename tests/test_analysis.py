@@ -653,14 +653,14 @@ def with_counts(*sides):
 
 @contextlib.contextmanager
 def brackets_scaled(factor=1e3):
-    """Every bisection bracket ``factor`` times farther from the peak and
-    every golden-section bracket ``factor`` times wider, inside (0, 1)."""
-    edge, golden = A._likelihood_edge, A._golden_section
+    """Every likelihood edge's bracket ``factor`` times farther from the peak
+    and every inner root's bracket ``factor`` times wider, inside [0, 1]."""
+    edge, least = A._likelihood_edge, A._convex_minimum
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(A, "_likelihood_edge", lambda f, inside, outside: edge(
             f, inside, inside + factor * (outside - inside)))
-        mp.setattr(A, "_golden_section", lambda f, lo, hi, xatol: golden(
-            f, lo / factor, min(hi * factor, 1.0), xatol))
+        mp.setattr(A, "_convex_minimum", lambda f, slope, lo, hi: least(
+            f, slope, lo / factor, min(hi * factor, 1.0)))
         yield
 
 
@@ -854,8 +854,8 @@ class TestSidebandOccupancy:
         got = A.sideband_occupancy(*args)
         value, lower, upper = occupancy_oracle(*args)
         assert got.value == pytest.approx(value, rel=1e-12, abs=0)
-        assert got.lower == pytest.approx(lower, rel=1e-9, abs=0)
-        assert got.upper == pytest.approx(upper, rel=1e-9, abs=0)
+        assert got.lower == pytest.approx(lower, rel=1e-11, abs=0)
+        assert got.upper == pytest.approx(upper, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("args", OCCUPANCY_ROWS.values(), ids=list(OCCUPANCY_ROWS))
     def test_scaled_brackets_change_nothing(self, args):
@@ -945,7 +945,7 @@ def test_bound_at_any_counts_is_an_interval_or_an_estimator_error(write, read):
 @example((0, 1, 1), 0.0)  # the one blue pulse clicks, the red one does not
 @example((3, 10, 10), 0.1)  # every blue pulse clicks
 @example((0, 10**9 - 1, 10**9), 0.0)  # one miss: the search resolves 1 - rate
-@example((0, 10**11, 10**11), 0.0)  # a tolerance below the floats next to 1
+@example((0, 10**11, 10**11), 0.0)  # a rate of 1 exactly: the float below it costs ~1e-5
 def test_occupancy_at_any_counts_is_an_interval_or_an_estimator_error(counts, background):
     try:
         got = A.sideband_occupancy(*counts, background)

@@ -563,11 +563,11 @@ def _target(d):
 # _every_stage
 STAGE_DIGESTS = {
     "thermometry": {
-        "t.json": "da978a6add4529247fba342d1c11e5e5e1df55db1fd8760b16023c0201812930"},
+        "t.json": "6707267ae6acbb16f60fb1ec3cf08f1b4fdabe0afc0283e46205b30e4af305f4"},
     "calibrate-heating": {
         "fit.json": "a9c8880f17573bae8eb4688a0953db5a5c1e7656f959ba4028f51cd921c739f4"},
     "fig2": {"fig2_thermometry.csv":
-             "223f239230bd5a0762f6d692d6984b0274b298b9619e66e26ee2b45f2d12a4cf"},
+             "45860493f94fab1438cc60f569bb9ceaac64822d3965b2b8b082105fe62aaabd"},
     "fig3b": {"fig3b_cross_correlation.csv":
               "ca843bf3fe209f15a161e86092f252ba97e9ed8637c06761e7762d6909d4e370"},
     "fig3c": {"fig3c_correlation_decay.csv":

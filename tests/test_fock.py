@@ -54,6 +54,25 @@ class TestConstructors:
             F.TwoModeFockState(rho, 2)
 
 
+    @pytest.mark.parametrize("least", [-2e-10, -5e-11], ids=["below", "above"])
+    def test_positivity_at_the_eigenvalue_tolerance(self, least):
+        # a least eigenvalue on either side of EIGENVALUE_TOL = -1e-10, in a
+        # random basis that mixes every level
+        n_max, d = 8, 81
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        w = np.full(d, (1.0 - least) / (d - 1))
+        w[0] = least
+        rho = (q * w) @ q.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        assert np.linalg.eigvalsh(rho).min() == pytest.approx(least, rel=1e-3)
+        if least < F.EIGENVALUE_TOL:
+            with pytest.raises(F.StateInvariantError, match="negative eigenvalue -2.000e-10"):
+                F.TwoModeFockState(rho, n_max, leak_tol=1.0)
+        else:
+            F.TwoModeFockState(rho, n_max, leak_tol=1.0)
+
+
 class TestAnalyticStatistics:
     def test_thermal_g2_is_2(self):
         mech = F.thermal_state(0.1, 24)
