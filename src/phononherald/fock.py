@@ -5,7 +5,9 @@ listed first and a common per-mode photon-number cutoff ``n_max``. All
 channels return new states; nothing is mutated in place. Every constructor
 and channel re-checks the state invariants (trace, Hermiticity, positivity
 and top-level truncation leakage), so a state that survives a pipeline is
-guaranteed to be numerically trustworthy.
+guaranteed to be numerically trustworthy. Squeezing conserves n_A - n_B and
+the beam splitter n_A + n_B, so each unitary is built one block of that number
+(at most n_max + 1 states) at a time, not by one (n_max + 1)**2 eigensolve.
 
 With the click POVM of two threshold detectors on one mode
 (``pair_click_matrix``) and pattern-conditioned states
@@ -55,8 +57,8 @@ def destroy(n_max: int) -> np.ndarray:
 
 def thermal_probs(n_bar: float, n_max: int) -> np.ndarray:
     """Renormalized truncated geometric distribution with mean ~ n_bar."""
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
+    if not 0 <= n_bar < math.inf:
+        raise ValueError(f"n_bar must be finite and >= 0, got {n_bar}")
     if n_bar == 0:
         p = np.zeros(n_max + 1)
         p[0] = 1.0
@@ -154,11 +156,13 @@ def validate_two_mode(rho: np.ndarray, n_max: int, leak_tol: float) -> None:
     d = n_max + 1
     if rho.shape != (d * d, d * d):
         raise ValueError(f"rho shape {rho.shape} inconsistent with n_max={n_max}")
+    # `not x <= tol`, so that any NaN or infinite entry fails: rho - rho^dag holds it
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateInvariantError(f"trace {tr} deviates from 1 by {abs(tr-1):.3e}")
-    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
-        raise StateInvariantError("density operator not Hermitian within tolerance")
+    skew = np.abs(rho - rho.conj().T).max()
+    if not skew <= HERMITICITY_TOL:
+        raise StateInvariantError(f"density operator not Hermitian: |rho - rho^dag| {skew:.3e}")
     try:  # succeeds exactly when every eigenvalue exceeds EIGENVALUE_TOL
         np.linalg.cholesky(rho - EIGENVALUE_TOL * np.eye(d * d))
     except np.linalg.LinAlgError:
@@ -173,26 +177,33 @@ def validate_two_mode(rho: np.ndarray, n_max: int, leak_tol: float) -> None:
             f"leak_tol={leak_tol:.1e}; state is truncation-unsafe")
 
 
-def _apply_unitary(state: TwoModeFockState, generator: np.ndarray) -> TwoModeFockState:
-    # generator is anti-Hermitian, so i*G is Hermitian and the truncated
-    # propagator is exactly unitary (trace preserved by construction).
-    h = 1j * generator
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
-    rho = u @ state.rho @ u.conj().T
+def _apply_unitary(state: TwoModeFockState, generator: np.ndarray,
+                   sign: int) -> TwoModeFockState:
+    # generator is anti-Hermitian and conserves n_A + sign * n_B, so U =
+    # exp(G) is a direct sum of one exactly unitary block U_I per value of that
+    # number, and U rho U^dag is U_I on the rows and U_I^dag on the columns of I
+    n_a, n_b = np.divmod(np.arange(state.dim ** 2), state.dim)
+    number = n_a + sign * n_b
+    rho = state.rho.copy()
+    for k in np.unique(number):
+        idx = np.flatnonzero(number == k)
+        w, v = np.linalg.eigh(1j * generator[np.ix_(idx, idx)])
+        u = (v * np.exp(-1j * w)) @ v.conj().T
+        rho[idx] = u @ rho[idx]
+        rho[:, idx] = rho[:, idx] @ u.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return TwoModeFockState(rho, state.n_max, state.leak_tol)
 
 
 def two_mode_squeeze(state: TwoModeFockState, r: float) -> TwoModeFockState:
     """Apply U = exp[r (a_A^dag a_B^dag - h.c.)]."""
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
     if r == 0:
         return state
     a = destroy(state.n_max)
     ab = np.kron(a, a)  # a_A a_B
-    return _apply_unitary(state, r * (ab.conj().T - ab))
+    return _apply_unitary(state, r * (ab.conj().T - ab), -1)
 
 
 def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockState:
@@ -206,7 +217,7 @@ def beam_splitter(state: TwoModeFockState, transmittance: float) -> TwoModeFockS
     theta = np.arcsin(np.sqrt(transmittance))
     a = destroy(state.n_max)
     cross = np.kron(a.conj().T, a)  # a_A^dag a_B
-    return _apply_unitary(state, theta * (cross - cross.conj().T))
+    return _apply_unitary(state, theta * (cross - cross.conj().T), 1)
 
 
 def loss_kraus(eta: float, n_max: int) -> list[np.ndarray]:

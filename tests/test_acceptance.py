@@ -33,9 +33,10 @@ def overlaps(est, lo, hi):
 
 def test_criterion_1_engine_equivalence():
     # CPU time of this thread, which never exceeds wall time: on a 2-core host
-    # it reads 0.8-1.0 s idle and 1.6-4.7 s beside two CPU-bound processes
-    # (5 runs each). Process CPU time would also count the spinning BLAS
-    # worker thread: 1.7-2.0 s idle
+    # it reads 0.4-0.5 s idle (5 runs) and 0.5-5.7 s beside two CPU-bound
+    # processes (11 runs, 3 above 2 s, all in the threaded Cholesky of the
+    # positivity test). Process CPU time would also count the spinning BLAS
+    # worker thread: 0.8-1.1 s idle
     t0 = time.thread_time()
     worst = 0.0
     for n_bar in (0.0, 0.025, 0.5):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.special import binom, xlog1py
 
 from phononherald import config as config_mod
@@ -30,6 +31,9 @@ class TestConstructors:
     def test_thermal_truncation_guard(self):
         with pytest.raises(F.TruncationError):
             F.thermal_state(2.0, 4, leak_tol=1e-8)
+        for n_bar in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                F.thermal_state(n_bar, 4, leak_tol=1.0)
 
     def test_vacuum_is_pure(self):
         state = F.TwoModeFockState.vacuum(4)
@@ -44,15 +48,21 @@ class TestConstructors:
             state.rho[0, 0] = 0.0
 
     def test_trace_violation_rejected(self):
-        with pytest.raises(F.StateInvariantError):
-            F.TwoModeFockState(2.0 * np.kron(F.vacuum_rho(2), F.vacuum_rho(2)), 2)
+        for level, entry in ((0, 2.0), (3, np.nan)):
+            rho = np.array(F.TwoModeFockState.vacuum(4).rho)
+            rho[level, level] = entry
+            with pytest.raises(F.StateInvariantError):
+                F.TwoModeFockState(rho, 4)
 
     def test_non_hermitian_rejected(self):
-        rho = np.kron(F.vacuum_rho(2), F.vacuum_rho(2))
-        rho[0, 1] = 1e-3
-        with pytest.raises(F.StateInvariantError):
-            F.TwoModeFockState(rho, 2)
-
+        # a skew entry breaks Hermiticity; a NaN pair is Hermitian in form
+        # and leaves the trace and the leak alone, yet no comparison holds
+        mech = F.thermal_state(0.3, 8, leak_tol=1.0)
+        for pair in ((1e-3, 0.0), (np.nan, np.nan)):
+            rho = np.kron(mech, mech)
+            rho[2, 5], rho[5, 2] = pair
+            with pytest.raises(F.StateInvariantError):
+                F.TwoModeFockState(rho, 8, leak_tol=1.0)
 
     @pytest.mark.parametrize("least", [-2e-10, -5e-11], ids=["below", "above"])
     def test_positivity_at_the_eigenvalue_tolerance(self, least):
@@ -175,8 +185,9 @@ class TestChannels:
             F.add_thermal_noise(F.vacuum_rho(4), -0.1)
 
     def test_two_mode_squeeze_rejects_negative(self):
-        with pytest.raises(ValueError):
-            F.two_mode_squeeze(F.TwoModeFockState.vacuum(4), -0.2)
+        for r in (-0.2, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                F.two_mode_squeeze(F.TwoModeFockState.vacuum(4), r)
 
 
 def dense_loss(rho, mode, eta, n_max):
@@ -218,6 +229,26 @@ def test_attenuate_preserves_state_invariants(mu, eta):
     state = F.attenuate(tmsv(mu, n_max=10), "B", eta)
     assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(state.rho).min() > -1e-10
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 22])
+def test_two_mode_unitaries(n_max):
+    # the blockwise unitaries against scipy's dense propagator of the
+    # kron generator, on a random full-rank state whose coherences join
+    # every pair of conserved-number blocks
+    rng = np.random.default_rng(n_max)
+    dim = (n_max + 1) ** 2
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x @ x.conj().T
+    state = F.TwoModeFockState(rho / np.trace(rho).real, n_max, leak_tol=1.0)
+    a = F.destroy(n_max)
+    ab, cross = np.kron(a, a), np.kron(a.conj().T, a)
+    for channel, arg, generator in (
+            (F.two_mode_squeeze, 0.3, 0.3 * (ab.conj().T - ab)),
+            (F.beam_splitter, 0.4, np.arcsin(np.sqrt(0.4)) * (cross - cross.conj().T))):
+        u = expm(generator)
+        np.testing.assert_allclose(channel(state, arg).rho, u @ state.rho @ u.conj().T,
+                                   rtol=0, atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
